@@ -4,8 +4,7 @@
 //! with [`AtpgOptions::builder`], tweak an existing value with
 //! [`AtpgOptions::to_builder`]. The struct is `#[non_exhaustive]` so new
 //! knobs can be added without breaking downstream construction sites; the
-//! fields stay public for reading. `AtpgConfig` remains as an alias for the
-//! pre-session name.
+//! fields stay public for reading.
 
 use sla_core::WorkBudget;
 
@@ -75,9 +74,6 @@ pub struct AtpgOptions {
     pub budget: WorkBudget,
 }
 
-/// Pre-session name of [`AtpgOptions`], kept so existing code keeps reading.
-pub type AtpgConfig = AtpgOptions;
-
 impl Default for AtpgOptions {
     fn default() -> Self {
         AtpgOptions {
@@ -103,30 +99,6 @@ impl AtpgOptions {
     /// Starts a builder from this value, for tweaking a knob or two.
     pub fn to_builder(self) -> AtpgOptionsBuilder {
         AtpgOptionsBuilder { opts: self }
-    }
-
-    /// Configuration with a given backtrack limit (other fields default).
-    #[deprecated(note = "use AtpgOptions::builder().backtrack_limit(limit).build()")]
-    pub fn with_backtrack_limit(limit: usize) -> Self {
-        Self::builder().backtrack_limit(limit).build()
-    }
-
-    /// Returns a copy using the given learning mode.
-    #[deprecated(note = "use to_builder().learning(mode).build()")]
-    pub fn learning(self, mode: LearningMode) -> Self {
-        self.to_builder().learning(mode).build()
-    }
-
-    /// Returns a copy using the given time-frame window bound.
-    #[deprecated(note = "use to_builder().window(frames).build()")]
-    pub fn window(self, frames: usize) -> Self {
-        self.to_builder().window(frames).build()
-    }
-
-    /// Returns a copy using the given work budget.
-    #[deprecated(note = "use to_builder().budget(budget).build()")]
-    pub fn budget(self, budget: WorkBudget) -> Self {
-        self.to_builder().budget(budget).build()
     }
 }
 
@@ -228,21 +200,5 @@ mod tests {
         let tweaked = base.to_builder().window(2).build();
         assert_eq!(tweaked.backtrack_limit, 5);
         assert_eq!(tweaked.max_window, 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_the_builder() {
-        let old = AtpgConfig::with_backtrack_limit(1000)
-            .learning(LearningMode::KnownValue)
-            .window(3)
-            .budget(WorkBudget::units(9));
-        let new = AtpgOptions::builder()
-            .backtrack_limit(1000)
-            .learning(LearningMode::KnownValue)
-            .window(3)
-            .budget(WorkBudget::units(9))
-            .build();
-        assert_eq!(old, new);
     }
 }

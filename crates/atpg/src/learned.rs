@@ -781,7 +781,7 @@ impl<'a> IncrementalLayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sla_core::{Implication, LearnConfig, Literal, SequentialLearner};
+    use sla_core::{Implication, LearnOptions, Literal, SequentialLearner};
     use sla_netlist::{GateType, Netlist, NetlistBuilder};
 
     fn exclusive_pair() -> Netlist {
@@ -800,7 +800,7 @@ mod tests {
     }
 
     fn learned_for(n: &Netlist) -> LearnedData {
-        let result = SequentialLearner::new(n, LearnConfig::default())
+        let result = SequentialLearner::new(n, LearnOptions::default())
             .learn()
             .unwrap();
         LearnedData::from(&result)

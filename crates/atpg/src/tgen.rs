@@ -12,7 +12,7 @@
 //! the incrementally maintained [`IncrementalLayer`]: conflicts trigger
 //! immediate backtracks and hints bias the backtrace (paper §4).
 
-use crate::config::{AtpgConfig, LearningMode};
+use crate::config::{AtpgOptions, LearningMode};
 use crate::learned::{IncrementalLayer, LearnedData, LiteralAdjacency};
 use crate::machines::{MachineMark, SearchMachines};
 use crate::Result;
@@ -65,7 +65,7 @@ struct Decision {
 pub struct TestGenerator<'a> {
     netlist: &'a Netlist,
     levels: Levelization,
-    config: AtpgConfig,
+    config: AtpgOptions,
     /// CSR adjacency over the learned implications, built once per generator.
     adjacency: LiteralAdjacency,
 }
@@ -77,7 +77,7 @@ impl<'a> TestGenerator<'a> {
     /// # Errors
     ///
     /// Returns an error when the combinational logic cannot be levelized.
-    pub fn new(netlist: &'a Netlist, config: AtpgConfig, learned: &LearnedData) -> Result<Self> {
+    pub fn new(netlist: &'a Netlist, config: AtpgOptions, learned: &LearnedData) -> Result<Self> {
         Ok(Self::with_levels(
             netlist,
             levelize(netlist)?,
@@ -93,7 +93,7 @@ impl<'a> TestGenerator<'a> {
     pub fn with_levels(
         netlist: &'a Netlist,
         levels: Levelization,
-        config: AtpgConfig,
+        config: AtpgOptions,
         learned: &LearnedData,
     ) -> Self {
         let adjacency = if config.learning.uses_learning() {
@@ -580,7 +580,7 @@ mod tests {
     use sla_netlist::NetlistBuilder;
     use sla_sim::FaultSimulator;
 
-    fn generator(n: &Netlist, config: AtpgConfig) -> TestGenerator<'_> {
+    fn generator(n: &Netlist, config: AtpgOptions) -> TestGenerator<'_> {
         TestGenerator::new(n, config, &LearnedData::new()).unwrap()
     }
 
@@ -609,7 +609,7 @@ mod tests {
     #[test]
     fn detects_simple_combinational_fault() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
         let result = gen.generate(&Fault::output(z, false));
         let GenOutcome::Detected(seq) = result.outcome else {
@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn propagates_through_flip_flops_by_growing_the_window() {
         let n = pipelined();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let g = n.require("g").unwrap();
         let fault = Fault::output(g, true);
         let result = gen.generate(&fault);
@@ -646,7 +646,7 @@ mod tests {
         let n = b.build().unwrap();
         // Proving redundancy requires exhausting the search space, which needs
         // the larger backtrack budget (the paper's second experiment stage).
-        let gen = generator(&n, AtpgConfig::builder().backtrack_limit(1000).build());
+        let gen = generator(&n, AtpgOptions::builder().backtrack_limit(1000).build());
         let z = n.require("z").unwrap();
         let result = gen.generate(&Fault::output(z, true));
         assert_eq!(result.outcome, GenOutcome::Untestable);
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn zero_backtrack_budget_aborts_hard_faults() {
         let n = pipelined();
-        let config = AtpgConfig::builder()
+        let config = AtpgOptions::builder()
             .backtrack_limit(0)
             .max_decisions(3)
             .build();
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn input_pin_faults_are_handled() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
         let fault = Fault::input(z, 0, true);
         let result = gen.generate(&fault);

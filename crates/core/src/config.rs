@@ -4,8 +4,7 @@
 //! with [`LearnOptions::builder`] or one of the named presets, tweak an
 //! existing value with [`LearnOptions::to_builder`]. The struct is
 //! `#[non_exhaustive]` so new knobs can be added without breaking downstream
-//! construction sites; the fields stay public for reading. `LearnConfig`
-//! remains as an alias for the pre-session name.
+//! construction sites; the fields stay public for reading.
 
 use crate::budget::WorkBudget;
 use sla_sim::EquivConfig;
@@ -64,9 +63,6 @@ pub struct LearnOptions {
     pub budget: WorkBudget,
 }
 
-/// Pre-session name of [`LearnOptions`], kept so existing code keeps reading.
-pub type LearnConfig = LearnOptions;
-
 impl Default for LearnOptions {
     fn default() -> Self {
         LearnOptions {
@@ -120,18 +116,6 @@ impl LearnOptions {
     /// Used to isolate what only sequential analysis can extract.
     pub fn combinational_only() -> Self {
         Self::builder().max_frames(1).build()
-    }
-
-    /// Sets the frame limit, returning the modified configuration.
-    #[deprecated(note = "use to_builder().max_frames(frames).build()")]
-    pub fn with_max_frames(self, frames: usize) -> Self {
-        self.to_builder().max_frames(frames).build()
-    }
-
-    /// Sets the work budget, returning the modified configuration.
-    #[deprecated(note = "use to_builder().budget(budget).build()")]
-    pub fn with_budget(self, budget: WorkBudget) -> Self {
-        self.to_builder().budget(budget).build()
     }
 }
 
@@ -259,19 +243,5 @@ mod tests {
         assert_eq!(c.max_multi_node_targets, 11);
         assert_eq!(c.budget, WorkBudget::units(5));
         assert_eq!(c.to_builder().build(), c, "to_builder round-trips");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_the_builder() {
-        assert_eq!(
-            LearnConfig::default().with_max_frames(0).max_frames,
-            LearnOptions::builder().max_frames(0).build().max_frames
-        );
-        assert_eq!(
-            LearnConfig::default().with_budget(WorkBudget::units(5)),
-            LearnOptions::builder().budget(WorkBudget::units(5)).build()
-        );
-        assert!(LearnConfig::default().budget.is_unlimited());
     }
 }

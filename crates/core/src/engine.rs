@@ -3,7 +3,7 @@
 //! per-clock-class real-circuit handling.
 
 use crate::classes::{clock_classes, ClockClass};
-use crate::config::LearnConfig;
+use crate::config::LearnOptions;
 use crate::db::{ImplicationDb, RelationCounts};
 use crate::relation::{CrossImplication, Implication};
 use crate::tie::{TieKind, TiedGate};
@@ -104,12 +104,12 @@ impl LearnResult {
 #[derive(Debug, Clone)]
 pub struct SequentialLearner<'a> {
     netlist: &'a Netlist,
-    config: LearnConfig,
+    config: LearnOptions,
 }
 
 impl<'a> SequentialLearner<'a> {
     /// Creates a learner for `netlist` with the given configuration.
-    pub fn new(netlist: &'a Netlist, config: LearnConfig) -> Self {
+    pub fn new(netlist: &'a Netlist, config: LearnOptions) -> Self {
         SequentialLearner { netlist, config }
     }
 
@@ -119,7 +119,7 @@ impl<'a> SequentialLearner<'a> {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &LearnConfig {
+    pub fn config(&self) -> &LearnOptions {
         &self.config
     }
 
@@ -128,9 +128,8 @@ impl<'a> SequentialLearner<'a> {
     /// The two simulation-heavy passes are sharded across worker threads; the
     /// count comes from the `SLA_THREADS` environment variable (default: the
     /// machine's available parallelism). Results are **bit-identical** for
-    /// every thread count — `SLA_THREADS=1` is the exact legacy serial path,
-    /// and [`SequentialLearner::learn_with_threads`] pins the count
-    /// explicitly.
+    /// every thread count, and [`SequentialLearner::learn_with_threads`] pins
+    /// the count explicitly.
     ///
     /// # Errors
     ///
@@ -142,10 +141,12 @@ impl<'a> SequentialLearner<'a> {
 
     /// [`SequentialLearner::learn`] with an explicit worker-thread count.
     ///
-    /// `threads <= 1` runs the serial single-thread pass; any larger count
-    /// shards the single-node stem batches and speculatively pipelines the
-    /// multiple-node batches, with ordered merges that keep the resulting
-    /// database, ties and statistics bit-identical to the serial run.
+    /// Every count runs the same schedule: the single-node stem batches are
+    /// sharded across the workers and the multiple-node batches are
+    /// speculatively pipelined up to `threads` deep, with ordered merges that
+    /// keep the resulting database, ties and statistics bit-identical for
+    /// every count. `threads <= 1` runs that schedule inline on the calling
+    /// thread, with no worker spawned.
     ///
     /// # Errors
     ///
@@ -370,7 +371,7 @@ mod tests {
     #[test]
     fn learns_the_invalid_state_relation() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let f1 = n.require("f1").unwrap();
@@ -386,7 +387,7 @@ mod tests {
     #[test]
     fn every_learned_relation_is_sound_against_the_oracle() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let oracle = StateOracle::build(&n, StateOracle::DEFAULT_BIT_LIMIT).unwrap();
@@ -421,7 +422,7 @@ mod tests {
         b.dff("q", "d").unwrap();
         b.output("q").unwrap();
         let n = b.build().unwrap();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let z = n.require("z").unwrap();
@@ -440,10 +441,10 @@ mod tests {
     #[test]
     fn single_node_only_learns_a_subset() {
         let n = exclusive_pair();
-        let full = SequentialLearner::new(&n, LearnConfig::default())
+        let full = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
-        let single = SequentialLearner::new(&n, LearnConfig::single_node_only())
+        let single = SequentialLearner::new(&n, LearnOptions::single_node_only())
             .learn()
             .unwrap();
         assert!(single.implications.len() <= full.implications.len());
@@ -452,7 +453,7 @@ mod tests {
     #[test]
     fn combinational_only_config_reports_no_sequential_relations() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::combinational_only())
+        let result = SequentialLearner::new(&n, LearnOptions::combinational_only())
             .learn()
             .unwrap();
         assert_eq!(result.stats.sequential.ff_ff, 0);
@@ -502,7 +503,7 @@ mod tests {
         b.output("g1").unwrap();
         b.output("g2").unwrap();
         let n = b.build().unwrap();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert_eq!(result.stats.classes, 2);
@@ -531,7 +532,7 @@ mod tests {
     #[test]
     fn stats_record_stems_and_cpu_time() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert_eq!(
@@ -546,7 +547,7 @@ mod tests {
     fn budget_truncates_learning_deterministically() {
         use crate::budget::WorkBudget;
         let n = exclusive_pair();
-        let full = SequentialLearner::new(&n, LearnConfig::default())
+        let full = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert!(!full.stats.budget_exhausted);
@@ -556,7 +557,7 @@ mod tests {
         );
 
         // A budget of two units processes exactly two stems and nothing else.
-        let tight = LearnConfig::builder().budget(WorkBudget::units(2)).build();
+        let tight = LearnOptions::builder().budget(WorkBudget::units(2)).build();
         let learner = SequentialLearner::new(&n, tight);
         let limited = learner.learn().unwrap();
         assert!(limited.stats.budget_exhausted);
@@ -581,7 +582,7 @@ mod tests {
 
         // A budget covering all the work changes nothing and reports no
         // exhaustion.
-        let roomy = LearnConfig::builder()
+        let roomy = LearnOptions::builder()
             .budget(WorkBudget::units(1_000_000))
             .build();
         let ample = SequentialLearner::new(&n, roomy).learn().unwrap();
@@ -595,11 +596,11 @@ mod tests {
     #[test]
     fn cross_frame_relations_only_when_requested() {
         let n = exclusive_pair();
-        let without = SequentialLearner::new(&n, LearnConfig::default())
+        let without = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert!(without.cross_frame.is_empty());
-        let with = SequentialLearner::new(&n, LearnConfig::builder().cross_frame(true).build())
+        let with = SequentialLearner::new(&n, LearnOptions::builder().cross_frame(true).build())
             .learn()
             .unwrap();
         assert!(!with.cross_frame.is_empty());

@@ -27,11 +27,13 @@ pub struct MultiNodeOutcome {
     pub ties: Vec<TiedGate>,
     /// Number of learning targets processed.
     pub targets_processed: usize,
-    /// Batched path only: number of packed batches cut short because a lane
-    /// proved a tie (the suffix after that lane is re-simulated under the
-    /// updated tied state).
+    /// Number of packed batches cut short because a lane proved a tie (the
+    /// suffix after that lane is re-simulated under the updated tied state).
+    /// Always 0 on the scalar [`run`], which simulates one target at a time.
     pub batch_restarts: usize,
-    /// Batched path only: lanes simulated but discarded by those restarts.
+    /// Lanes simulated but discarded by those restarts. Counts the serial
+    /// schedule only, so it is the same for every thread count; speculative
+    /// batches squashed by an earlier conflict are not included.
     pub wasted_lanes: usize,
 }
 
@@ -167,7 +169,7 @@ fn record_tie(
 /// `G15` example of the paper be proven tied).
 ///
 /// This is the scalar reference path — one forward simulation per target. The
-/// learning engine uses [`run_batched`], which produces the same outcome from
+/// learning engine uses [`run_sharded`], which produces the same outcome from
 /// packed 64-lane passes; property tests assert the equality.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
@@ -223,97 +225,6 @@ pub fn run(
     outcome
 }
 
-/// Runs multiple-node learning over the support map with up to 64 targets per
-/// packed forward pass. Produces exactly the same outcome as [`run`].
-///
-/// Targets are batched under the tied-constant state current at batch start.
-/// Serial semantics require a tie discovered at target *k* to influence every
-/// target after *k*, so when a batch lane conflicts (a new tie), the lanes up
-/// to and including the first conflict are harvested — they only depended on
-/// the unchanged prefix state — the tie is registered, and batching restarts
-/// at the next target under the updated state.
-///
-/// The batch width adapts to the tie density: every restart halves the next
-/// batch (down to [`MIN_BATCH`]) because on tie-dense target lists a wide
-/// batch mostly simulates lanes that are thrown away, and every conflict-free
-/// batch doubles it again (up to 64). The restart and wasted-lane counts are
-/// reported in the outcome.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched(
-    sim: &mut InjectionSim<'_>,
-    support: &SupportMap,
-    options: &SimOptions,
-    class_mask: Option<&[bool]>,
-    max_targets: usize,
-    learn_cross_frame: bool,
-) -> MultiNodeOutcome {
-    let mut outcome = MultiNodeOutcome::default();
-    let targets = sorted_targets(support, max_targets);
-    // Targets are prepared on first need and memoized — preparation only
-    // depends on the support entries, not on the evolving tied state, so
-    // batch restarts never redo the work, and targets skipped as already
-    // tied are never prepared at all.
-    let mut prepared: Vec<Option<Target>> = (0..targets.len()).map(|_| None).collect();
-
-    let mut cap = MAX_BATCH;
-    let mut i = 0;
-    loop {
-        let step = plan_step(
-            sim.netlist(),
-            &targets,
-            &mut prepared,
-            sim.tied(),
-            &[],
-            i,
-            cap,
-        );
-        match step {
-            None => break,
-            Some(PlannedStep::Tie {
-                idx,
-                node,
-                produced,
-            }) => {
-                outcome.targets_processed += 1;
-                let horizon = prepared[idx]
-                    .as_ref()
-                    .expect("planned tie is prepared")
-                    .horizon;
-                record_tie(sim, &mut outcome, node, produced, horizon);
-                i = idx + 1;
-            }
-            Some(PlannedStep::Batch(plan)) => {
-                let traces = simulate_plan(sim, &prepared, &plan, options);
-                match process_batch(
-                    sim,
-                    &prepared,
-                    &plan.batch,
-                    &traces,
-                    class_mask,
-                    learn_cross_frame,
-                    &mut outcome,
-                ) {
-                    Some(conflict_at) => {
-                        // New tie: later lanes would have seen it in the
-                        // serial order — re-run them under the updated state,
-                        // and shrink the next batch so a tie-dense stretch
-                        // wastes fewer lanes per restart.
-                        cap = (cap / 2).max(MIN_BATCH);
-                        i = conflict_at + 1;
-                    }
-                    None => {
-                        // A conflict-free batch: the tie-dense stretch (if
-                        // any) is over, widen again.
-                        cap = (cap * 2).min(MAX_BATCH);
-                        i = plan.next_i;
-                    }
-                }
-            }
-        }
-    }
-    outcome
-}
-
 /// One planned packed batch.
 #[derive(Debug)]
 struct BatchPlan {
@@ -348,10 +259,9 @@ enum PlannedStep {
 /// boundary: its tie mutates the state every later target sees). Returns
 /// `None` when the target list is exhausted.
 ///
-/// This is the exact gather logic of the single-thread pass, factored out so
-/// the sharded pass can *speculatively* plan several steps ahead — planning
-/// is pure given the tied state, and certain ties extend the overlay without
-/// any simulation.
+/// Planning is pure given the tied state, and certain ties extend the
+/// overlay without any simulation, so [`run_sharded`] can *speculatively*
+/// plan several steps ahead.
 fn plan_step(
     netlist: &Netlist,
     targets: &[TargetEntry<'_>],
@@ -410,34 +320,6 @@ fn plan_step(
     }
 }
 
-/// Runs the packed forward pass of one planned batch. Pure with respect to
-/// the simulator (reads its tied/equivalence/mask state only), so speculative
-/// executions on clones produce the traces the serial order would.
-fn simulate_plan(
-    sim: &InjectionSim<'_>,
-    prepared: &[Option<Target>],
-    plan: &BatchPlan,
-    options: &SimOptions,
-) -> sla_sim::PackedTraces {
-    let lanes: Vec<&Target> = plan
-        .batch
-        .iter()
-        .map(|&(at, _, _)| prepared[at].as_ref().expect("batch lanes are prepared"))
-        .collect();
-    let run_options = SimOptions {
-        max_frames: lanes
-            .iter()
-            .map(|t| t.horizon + 1)
-            .max()
-            .expect("non-empty batch"),
-        stop_on_repeat: false,
-        respect_seq_rules: options.respect_seq_rules,
-    };
-    let jobs: Vec<&[Injection]> = lanes.iter().map(|t| t.injections.as_slice()).collect();
-    let limits: Vec<usize> = lanes.iter().map(|t| t.horizon + 1).collect();
-    sim.run_batch_with_limits_packed(&jobs, &run_options, &limits)
-}
-
 /// Processes the lanes of one simulated batch in serial order: harvests
 /// conflict-free lanes, and on the first conflicting lane records the tie,
 /// the restart and the wasted suffix, returning the conflicting target index
@@ -479,40 +361,46 @@ fn process_batch(
 }
 
 /// One speculative simulation job of [`run_sharded`]: an owned snapshot of
-/// everything the packed forward pass needs, so worker threads never borrow
-/// the merge thread's mutable state.
-struct SpecJob<'a> {
-    /// Clone of the round's base simulator plus the certain-tie overlay
-    /// prefix of this batch.
-    sim: InjectionSim<'a>,
+/// what the packed forward pass needs beyond the pass-invariant simulator
+/// state, so workers never borrow the merge thread's mutable state.
+struct SpecJob {
+    /// Tied state of the batch: the round's base state plus the certain-tie
+    /// overlay prefix of this batch.
+    tied: Vec<(NodeId, bool)>,
     /// Per-lane injection sets (cloned from the prepared targets).
     jobs: Vec<Vec<Injection>>,
     /// Per-lane frame limits (`horizon + 1`).
     limits: Vec<usize>,
-    /// Widest lane limit (the pass's `max_frames`).
-    max_frames: usize,
-    respect_seq_rules: bool,
     /// Position among the round's batches (results are reordered by it).
     seq: usize,
 }
 
-/// Runs multiple-node learning sharded across `threads` worker threads,
-/// producing **exactly** the outcome of [`run_batched`] — same relations,
-/// ties, target count and tie-restart accounting (`batch_restarts`,
-/// `wasted_lanes`) — and leaving the simulator's tied state identical.
+/// Runs multiple-node learning over the support map on `threads` workers
+/// (inline on the caller's thread when `threads <= 1`), with up to 64
+/// targets per packed forward pass. Produces exactly the outcome of the
+/// scalar [`run`] — same relations, ties and target count — and leaves the
+/// simulator's tied state identical.
 ///
-/// Targets are coupled through discovered ties, so the work cannot be split
-/// by naive sharding without changing the serial schedule. Instead the
-/// single-thread schedule is executed *speculatively*: up to `threads`
-/// consecutive batches are planned ahead under the assumption that every one
-/// of them is conflict-free (certain ties from contradictory targets are
-/// applied during planning — they need no simulation), their packed forward
-/// passes run in parallel on clones of the current simulator state, and the
-/// results are then processed in serial order by the same code the
-/// single-thread pass uses. The first simulation-discovered conflict
-/// invalidates the remaining speculative traces, which are discarded and
-/// replanned under the updated tied state — wasted *machine* work, but the
-/// reported schedule (and therefore every output bit) is the serial one.
+/// Targets are coupled through discovered ties: serial semantics require a
+/// tie found at target *k* to influence every target after *k*. Batches are
+/// therefore planned under the tied state current at planning time. When a
+/// batch lane conflicts (a new tie), the lanes up to and including the first
+/// conflict are harvested — they only depended on the unchanged prefix
+/// state — the tie is registered, and planning restarts at the next target
+/// under the updated state. The batch width adapts to the tie density:
+/// every restart halves the next batch (down to [`MIN_BATCH`]), every
+/// conflict-free batch doubles it again (up to 64). The restarts and the
+/// lanes they discard are reported in the outcome.
+///
+/// Each round plans up to `threads` consecutive batches ahead, assuming
+/// every one of them is conflict-free (certain ties from contradictory
+/// targets are applied during planning — they need no simulation). Their
+/// packed forward passes run on the worker pool, each under its own tied
+/// state, and the results are processed in serial order. The first
+/// simulation-discovered conflict invalidates the rest of the round, whose
+/// traces are discarded and replanned under the updated tied state — wasted
+/// machine work, but the processed schedule, and therefore every output
+/// bit, is the same for every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded(
     sim: &mut InjectionSim<'_>,
@@ -523,38 +411,36 @@ pub fn run_sharded(
     learn_cross_frame: bool,
     threads: usize,
 ) -> MultiNodeOutcome {
-    if threads <= 1 {
-        return run_batched(
-            sim,
-            support,
-            options,
-            class_mask,
-            max_targets,
-            learn_cross_frame,
-        );
-    }
     let netlist = sim.netlist();
     let mut outcome = MultiNodeOutcome::default();
     let targets = sorted_targets(support, max_targets);
+    // Targets are prepared on first need and memoized — preparation only
+    // depends on the support entries, not on the evolving tied state, so
+    // restarts never redo the work, and targets skipped as already tied are
+    // never prepared at all.
     let mut prepared: Vec<Option<Target>> = (0..targets.len()).map(|_| None).collect();
+    // Equivalences, the active class and the levelization are invariant over
+    // the pass; each worker clones them once and takes only the tied state
+    // from every job.
+    let base = sim.clone();
+    // Speculation depth: batches planned per round.
+    let depth = threads.max(1);
 
     // One worker pool for the whole pass: rounds are frequent (every
     // conflict squashes one), so per-round thread spawn/join would dominate
-    // tie-dense target lists. The workers run the owned-data twin of
-    // [`simulate_plan`].
+    // tie-dense target lists.
     sla_par::with_pool(
         threads,
-        |_worker| (),
-        |(), job: SpecJob<'_>| {
+        |_worker| base.clone(),
+        |worker_sim, job: SpecJob| {
+            worker_sim.set_tied(job.tied);
             let run_options = SimOptions {
-                max_frames: job.max_frames,
+                max_frames: job.limits.iter().copied().max().expect("non-empty batch"),
                 stop_on_repeat: false,
-                respect_seq_rules: job.respect_seq_rules,
+                respect_seq_rules: options.respect_seq_rules,
             };
             let jobs: Vec<&[Injection]> = job.jobs.iter().map(|j| j.as_slice()).collect();
-            let packed = job
-                .sim
-                .run_batch_with_limits_packed(&jobs, &run_options, &job.limits);
+            let packed = worker_sim.run_batch_with_limits_packed(&jobs, &run_options, &job.limits);
             (job.seq, packed)
         },
         |pool| {
@@ -562,14 +448,14 @@ pub fn run_sharded(
             let mut i = 0;
             loop {
                 // Speculative plan: up to `threads` batches ahead, assuming
-                // conflict-free outcomes (the common case — multi-node ties are rare
-                // on most target lists).
+                // conflict-free outcomes (the common case — multi-node ties
+                // are rare on most target lists).
                 let mut steps: Vec<PlannedStep> = Vec::new();
                 let mut overlay: Vec<(NodeId, bool)> = Vec::new();
                 let mut plan_i = i;
                 let mut plan_cap = cap;
                 let mut batches = 0usize;
-                while batches < threads {
+                while batches < depth {
                     match plan_step(
                         netlist,
                         &targets,
@@ -605,34 +491,27 @@ pub fn run_sharded(
                     break;
                 }
 
-                // Parallel speculative simulation of the planned batches on the
-                // persistent worker pool, each job carrying a clone of the round's
-                // base state plus its certain-tie overlay prefix (cloned on this
-                // thread, so the workers never borrow the mutable merge state).
+                // Speculative simulation of the planned batches, each under
+                // the round's base tied state plus its certain-tie overlay
+                // prefix.
                 let mut batch_count = 0usize;
                 for step in &steps {
                     let PlannedStep::Batch(plan) = step else {
                         continue;
                     };
-                    let mut worker_sim = sim.clone();
-                    for &(node, value) in &overlay[..plan.overlay_len] {
-                        worker_sim.add_tied(node, value);
-                    }
-                    let lanes: Vec<&Target> = plan
-                        .batch
-                        .iter()
-                        .map(|&(at, _, _)| prepared[at].as_ref().expect("batch lanes are prepared"))
-                        .collect();
+                    // Planning skips tied targets, so the overlay never
+                    // repeats a node of the base state.
+                    let mut tied = sim.tied().to_vec();
+                    tied.extend_from_slice(&overlay[..plan.overlay_len]);
+                    let lanes = plan.batch.iter().map(|&(at, _, _)| {
+                        prepared[at].as_ref().expect("batch lanes are prepared")
+                    });
+                    let (jobs, limits) =
+                        lanes.map(|t| (t.injections.clone(), t.horizon + 1)).unzip();
                     pool.submit(SpecJob {
-                        sim: worker_sim,
-                        jobs: lanes.iter().map(|t| t.injections.clone()).collect(),
-                        limits: lanes.iter().map(|t| t.horizon + 1).collect(),
-                        max_frames: lanes
-                            .iter()
-                            .map(|t| t.horizon + 1)
-                            .max()
-                            .expect("non-empty batch"),
-                        respect_seq_rules: options.respect_seq_rules,
+                        tied,
+                        jobs,
+                        limits,
                         seq: batch_count,
                     });
                     batch_count += 1;
@@ -644,9 +523,8 @@ pub fn run_sharded(
                     traces[seq] = Some(packed);
                 }
 
-                // Serial processing: identical code and order to the single-thread
-                // pass; the first conflict discards the remaining speculation.
-                let mut conflicted = false;
+                // Serial processing in schedule order; the first conflict
+                // discards the remaining speculation.
                 let mut trace_idx = 0usize;
                 for step in &steps {
                     match step {
@@ -676,17 +554,21 @@ pub fn run_sharded(
                                 &mut outcome,
                             ) {
                                 Some(conflict_at) => {
+                                    // New tie: later lanes would have seen it
+                                    // in the serial order — re-run them under
+                                    // the updated state, and shrink the next
+                                    // batch so a tie-dense stretch wastes
+                                    // fewer lanes per restart.
                                     cap = (cap / 2).max(MIN_BATCH);
                                     i = conflict_at + 1;
-                                    conflicted = true;
+                                    break;
                                 }
                                 None => {
+                                    // Conflict-free: the tie-dense stretch
+                                    // (if any) is over, widen again.
                                     cap = (cap * 2).min(MAX_BATCH);
                                     i = plan.next_i;
                                 }
-                            }
-                            if conflicted {
-                                break;
                             }
                         }
                     }
@@ -860,35 +742,63 @@ mod tests {
             .all(|(imp, _)| imp.antecedent.node != g9));
     }
 
+    /// The packed pass must replay the scalar schedule bit for bit at every
+    /// thread count, and report the same restart accounting for every
+    /// thread count.
+    fn assert_sharded_matches_scalar(netlist: &Netlist) {
+        let stems = sla_netlist::stems::fanout_stems(netlist);
+        let options = SimOptions::default();
+        let base = InjectionSim::new(netlist).unwrap();
+        let single = single_node::run(&base, &stems, &options, None, false);
+        let mut scalar_sim = InjectionSim::new(netlist).unwrap();
+        let scalar = run(&mut scalar_sim, &single.support, &options, None, 0, true);
+        let mut one_sim = InjectionSim::new(netlist).unwrap();
+        let one = run_sharded(&mut one_sim, &single.support, &options, None, 0, true, 1);
+        for threads in [1, 2, 3, 8] {
+            let mut sharded_sim = InjectionSim::new(netlist).unwrap();
+            let sharded = run_sharded(
+                &mut sharded_sim,
+                &single.support,
+                &options,
+                None,
+                0,
+                true,
+                threads,
+            );
+            assert_eq!(scalar.implications, sharded.implications, "t={threads}");
+            assert_eq!(scalar.ties, sharded.ties, "t={threads}");
+            assert_eq!(scalar.cross_frame, sharded.cross_frame, "t={threads}");
+            assert_eq!(
+                scalar.targets_processed, sharded.targets_processed,
+                "t={threads}"
+            );
+            assert_eq!(scalar_sim.tied(), sharded_sim.tied(), "t={threads}");
+            assert_eq!(one.batch_restarts, sharded.batch_restarts, "t={threads}");
+            assert_eq!(one.wasted_lanes, sharded.wasted_lanes, "t={threads}");
+        }
+    }
+
     #[test]
     fn batched_run_matches_scalar_run() {
-        for netlist in [figure2_core(), {
-            // The tie-conflict circuit exercises the batch-restart path.
-            let mut b = NetlistBuilder::new("tieconflict");
-            b.input("a");
-            b.input("b");
-            b.gate("x", GateType::Not, &["a"]).unwrap();
-            b.gate("y", GateType::Not, &["b"]).unwrap();
-            b.gate("z", GateType::And, &["a", "b"]).unwrap();
-            b.gate("g", GateType::Or, &["x", "y", "z"]).unwrap();
-            b.dff("f", "g").unwrap();
-            b.output("f").unwrap();
-            b.build().unwrap()
-        }] {
-            let stems = sla_netlist::stems::fanout_stems(&netlist);
-            let options = SimOptions::default();
-            let base = InjectionSim::new(&netlist).unwrap();
-            let single = single_node::run(&base, &stems, &options, None, false);
-            let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
-            let scalar = run(&mut scalar_sim, &single.support, &options, None, 0, true);
-            let mut batched_sim = InjectionSim::new(&netlist).unwrap();
-            let batched = run_batched(&mut batched_sim, &single.support, &options, None, 0, true);
-            assert_eq!(scalar.implications, batched.implications);
-            assert_eq!(scalar.ties, batched.ties);
-            assert_eq!(scalar.cross_frame, batched.cross_frame);
-            assert_eq!(scalar.targets_processed, batched.targets_processed);
-            assert_eq!(scalar_sim.tied(), batched_sim.tied());
+        // `tie_dense(1)` is the single-tie motif of the batch-restart path.
+        for netlist in [figure2_core(), tie_dense(1)] {
+            assert_sharded_matches_scalar(&netlist);
         }
+    }
+
+    /// On the tie-dense list almost every speculation round is squashed by
+    /// a conflict, so the restart protocol runs at every thread count.
+    #[test]
+    fn sharded_run_matches_batched_run_including_restart_accounting() {
+        let netlist = tie_dense(12);
+        assert_sharded_matches_scalar(&netlist);
+        let stems = sla_netlist::stems::fanout_stems(&netlist);
+        let options = SimOptions::default();
+        let base = InjectionSim::new(&netlist).unwrap();
+        let single = single_node::run(&base, &stems, &options, None, false);
+        let mut sim = InjectionSim::new(&netlist).unwrap();
+        let one = run_sharded(&mut sim, &single.support, &options, None, 0, true, 1);
+        assert!(one.batch_restarts > 0, "the restart protocol must run");
     }
 
     /// `copies` independent instances of the tie-conflict motif: every
@@ -931,7 +841,15 @@ mod tests {
         let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
         let scalar = run(&mut scalar_sim, &single.support, &options, None, 0, false);
         let mut batched_sim = InjectionSim::new(&netlist).unwrap();
-        let batched = run_batched(&mut batched_sim, &single.support, &options, None, 0, false);
+        let batched = run_sharded(
+            &mut batched_sim,
+            &single.support,
+            &options,
+            None,
+            0,
+            false,
+            1,
+        );
 
         assert_eq!(scalar.implications, batched.implications);
         assert_eq!(scalar.ties, batched.ties);
@@ -954,47 +872,6 @@ mod tests {
             "{} lanes wasted over {} restarts",
             batched.wasted_lanes, batched.batch_restarts
         );
-    }
-
-    /// The speculative sharded pass must replay the serial schedule bit for
-    /// bit — including on the tie-dense list, where almost every speculation
-    /// round is squashed by a conflict.
-    #[test]
-    fn sharded_run_matches_batched_run_including_restart_accounting() {
-        for netlist in [figure2_core(), tie_dense(12)] {
-            let stems = sla_netlist::stems::fanout_stems(&netlist);
-            let options = SimOptions::default();
-            let base = InjectionSim::new(&netlist).unwrap();
-            let single = single_node::run(&base, &stems, &options, None, false);
-            let mut reference_sim = InjectionSim::new(&netlist).unwrap();
-            let reference =
-                run_batched(&mut reference_sim, &single.support, &options, None, 0, true);
-            for threads in [1, 2, 3, 8] {
-                let mut sharded_sim = InjectionSim::new(&netlist).unwrap();
-                let sharded = run_sharded(
-                    &mut sharded_sim,
-                    &single.support,
-                    &options,
-                    None,
-                    0,
-                    true,
-                    threads,
-                );
-                assert_eq!(reference.implications, sharded.implications, "t={threads}");
-                assert_eq!(reference.ties, sharded.ties, "t={threads}");
-                assert_eq!(reference.cross_frame, sharded.cross_frame, "t={threads}");
-                assert_eq!(
-                    reference.targets_processed, sharded.targets_processed,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.batch_restarts, sharded.batch_restarts,
-                    "t={threads}"
-                );
-                assert_eq!(reference.wasted_lanes, sharded.wasted_lanes, "t={threads}");
-                assert_eq!(reference_sim.tied(), sharded_sim.tied(), "t={threads}");
-            }
-        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::relation::{CrossImplication, Implication, Literal};
 use crate::tie::{TieKind, TiedGate};
 use sla_netlist::{FastHashMap, Netlist, NodeId};
 use sla_sim::{Injection, InjectionSim, Logic3, SimOptions, Trace, TraceRead};
+use std::collections::hash_map::Entry;
 
 /// For every `(node, value)`: the list of `(stem, stem_value, frame)` stem
 /// assignments whose forward simulation sets the node to that value at that
@@ -41,23 +42,13 @@ pub type SupportEntry = (NodeId, bool, usize);
 impl SupportMap {
     /// Appends one support entry for `key`.
     pub fn push(&mut self, key: SupportKey, entry: SupportEntry) {
-        self.slot(key).push(entry);
-    }
-
-    /// Appends a batch of support entries for `key` (the merge path).
-    pub fn extend_entries(
-        &mut self,
-        key: SupportKey,
-        entries: impl IntoIterator<Item = SupportEntry>,
-    ) {
-        self.slot(key).extend(entries);
-    }
-
-    fn slot(&mut self, key: SupportKey) -> &mut Vec<SupportEntry> {
-        if !self.map.contains_key(&key) {
-            self.keys.push(key);
+        match self.map.entry(key) {
+            Entry::Occupied(slot) => slot.into_mut().push(entry),
+            Entry::Vacant(slot) => {
+                self.keys.push(key);
+                slot.insert(vec![entry]);
+            }
         }
-        self.map.entry(key).or_default()
     }
 
     /// Support entries of `key`, if any.
@@ -80,14 +71,6 @@ impl SupportMap {
         self.keys
             .iter()
             .map(|k| (k, self.map.get(k).expect("key recorded at insertion")))
-    }
-
-    /// Consumes the map in first-insertion key order.
-    pub fn into_entries(mut self) -> impl Iterator<Item = (SupportKey, Vec<SupportEntry>)> {
-        self.keys.into_iter().map(move |k| {
-            let entries = self.map.remove(&k).expect("key recorded at insertion");
-            (k, entries)
-        })
     }
 }
 
@@ -144,22 +127,9 @@ pub fn simulate_stem(sim: &InjectionSim<'_>, stem: NodeId, options: &SimOptions)
 pub const STEMS_PER_BATCH: usize = 32;
 
 /// Simulates both polarities of up to [`STEMS_PER_BATCH`] stems in a single
-/// packed forward pass; entry *i* of the result is identical to
-/// `simulate_stem(sim, stems[i], options)`.
-pub fn simulate_stem_batch(
-    sim: &InjectionSim<'_>,
-    stems: &[NodeId],
-    options: &SimOptions,
-) -> Vec<(Trace, Trace)> {
-    let packed = simulate_stem_batch_packed(sim, stems, options);
-    (0..stems.len())
-        .map(|i| (packed.to_trace(2 * i), packed.to_trace(2 * i + 1)))
-        .collect()
-}
-
-/// Packed form of [`simulate_stem_batch`]: lane `2i` carries stem `i` injected
-/// at 0, lane `2i + 1` at 1. The result is read in place via
-/// [`sla_sim::PackedTraces::lane`].
+/// packed forward pass: lane `2i` carries stem `i` injected at 0, lane
+/// `2i + 1` at 1, each identical to the matching trace of [`simulate_stem`].
+/// The result is read in place via [`sla_sim::PackedTraces::lane`].
 pub fn simulate_stem_batch_packed(
     sim: &InjectionSim<'_>,
     stems: &[NodeId],
@@ -368,6 +338,17 @@ impl PairFilter {
             }
         }
     }
+
+    /// [`PairFilter::admit`] for an already materialized implication.
+    fn admit_implication(&mut self, imp: Implication, sequential: bool) -> bool {
+        self.admit(
+            imp.antecedent.node,
+            imp.antecedent.value,
+            imp.consequent.node,
+            imp.consequent.value,
+            sequential,
+        )
+    }
 }
 
 /// Extracts same-frame relations by pairing the assignments of the two traces
@@ -490,62 +471,23 @@ pub fn extract_cross_frame<T: TraceRead>(
     out
 }
 
-/// Adds the assignments of one stem trace to the support map.
-pub fn accumulate_support<T: TraceRead>(
+/// Appends the support assignments of one stem trace to `log`, in the order
+/// the support map accumulates them.
+fn support_log<T: TraceRead>(
     netlist: &Netlist,
     stem: NodeId,
     value: bool,
     trace: &T,
-    support: &mut SupportMap,
+    log: &mut Vec<(SupportKey, SupportEntry)>,
 ) {
     for t in 0..trace.num_frames() {
         for (node, v) in trace.binary_assignments(t) {
             if node == stem || netlist.node(node).is_input() {
                 continue;
             }
-            support.push((node, v), (stem, value, t));
+            log.push(((node, v), (stem, value, t)));
         }
     }
-}
-
-/// Extracts everything single-node learning derives from the two polarity
-/// traces of one stem and adds it to `outcome`.
-#[allow(clippy::too_many_arguments)]
-fn harvest_stem<T: TraceRead>(
-    netlist: &Netlist,
-    stem: NodeId,
-    t0: &T,
-    t1: &T,
-    roles: &[Role],
-    learn_cross_frame: bool,
-    filter: &mut PairFilter,
-    outcome: &mut SingleNodeOutcome,
-) {
-    let frames = t0.num_frames().min(t1.num_frames());
-    let repeated = repeated_frame_pairs(t0, t1, frames);
-    outcome
-        .ties
-        .extend(extract_ties_skipping(netlist, stem, t0, t1, &repeated));
-    extract_relations_into(
-        stem,
-        t0,
-        t1,
-        &repeated,
-        roles,
-        filter,
-        &mut outcome.implications,
-    );
-    if learn_cross_frame {
-        outcome
-            .cross_frame
-            .extend(extract_cross_frame(netlist, stem, false, t0));
-        outcome
-            .cross_frame
-            .extend(extract_cross_frame(netlist, stem, true, t1));
-    }
-    accumulate_support(netlist, stem, false, t0, &mut outcome.support);
-    accumulate_support(netlist, stem, true, t1, &mut outcome.support);
-    outcome.stems_processed += 1;
 }
 
 /// Runs single-node learning over `stems` using an already configured
@@ -553,8 +495,9 @@ fn harvest_stem<T: TraceRead>(
 /// taken from the simulator state).
 ///
 /// This is the scalar reference path — one forward simulation per stem
-/// polarity. The learning engine uses [`run_batched`], which produces the same
-/// outcome from packed 64-lane passes; property tests assert the equality.
+/// polarity. The learning engine uses [`run_sharded`], which produces the
+/// same outcome from packed 64-lane passes; property tests assert the
+/// equality.
 pub fn run(
     sim: &InjectionSim<'_>,
     stems: &[NodeId],
@@ -563,9 +506,8 @@ pub fn run(
     learn_cross_frame: bool,
 ) -> SingleNodeOutcome {
     let netlist = sim.netlist();
-    let mut outcome = SingleNodeOutcome::default();
-    let mut filter = PairFilter::for_netlist(netlist);
-    let roles = endpoint_roles(netlist, class_mask);
+    let mut worker = ChunkWorker::new(netlist, class_mask);
+    let mut harvest = ChunkHarvest::new(true);
     for &stem in stems {
         let (t0, t1) = simulate_stem(sim, stem, options);
         harvest_stem(
@@ -573,87 +515,108 @@ pub fn run(
             stem,
             &t0,
             &t1,
-            &roles,
             learn_cross_frame,
-            &mut filter,
-            &mut outcome,
+            &mut worker,
+            &mut harvest,
         );
     }
-    outcome
+    merge(netlist, [harvest])
 }
 
-/// Runs single-node learning over `stems`, packing [`STEMS_PER_BATCH`] stems
-/// (both polarities each) into every forward pass.
-///
-/// Produces exactly the same outcome as [`run`]; the only difference is that
-/// the injection simulations go through the packed 64-wide kernel.
-pub fn run_batched(
-    sim: &InjectionSim<'_>,
-    stems: &[NodeId],
-    options: &SimOptions,
-    class_mask: Option<&[bool]>,
-    learn_cross_frame: bool,
-) -> SingleNodeOutcome {
-    let netlist = sim.netlist();
-    let mut outcome = SingleNodeOutcome::default();
-    let mut filter = PairFilter::for_netlist(netlist);
-    let roles = endpoint_roles(netlist, class_mask);
-    for chunk in stems.chunks(STEMS_PER_BATCH) {
-        harvest_chunk(
-            sim,
-            chunk,
-            options,
-            &roles,
-            &mut filter,
-            learn_cross_frame,
-            &mut outcome,
-        );
+/// What one worker harvested from one chunk of stems.
+struct ChunkHarvest {
+    implications: Vec<(Implication, bool)>,
+    cross_frame: Vec<CrossImplication>,
+    ties: Vec<TiedGate>,
+    /// Support assignments in accumulation order; the merge pushes them into
+    /// the pass's one [`SupportMap`].
+    support: Vec<(SupportKey, SupportEntry)>,
+    stems: usize,
+    /// `true` when the worker's duplicate filter had seen every earlier chunk,
+    /// so `implications` already is this chunk's slice of the pass stream.
+    in_order: bool,
+}
+
+impl ChunkHarvest {
+    fn new(in_order: bool) -> Self {
+        ChunkHarvest {
+            implications: Vec::new(),
+            cross_frame: Vec::new(),
+            ties: Vec::new(),
+            support: Vec::new(),
+            stems: 0,
+            in_order,
+        }
     }
-    outcome
 }
 
-/// One packed forward pass over up to [`STEMS_PER_BATCH`] stems, harvested
-/// into `outcome` (the loop body shared by [`run_batched`] and the workers of
-/// [`run_sharded`]).
-fn harvest_chunk(
-    sim: &InjectionSim<'_>,
-    chunk: &[NodeId],
-    options: &SimOptions,
-    roles: &[Role],
-    filter: &mut PairFilter,
+/// A worker's private state: its duplicate filter, the endpoint roles and
+/// how many chunks the filter has seen.
+struct ChunkWorker {
+    filter: PairFilter,
+    roles: Vec<Role>,
+    chunks_seen: usize,
+}
+
+impl ChunkWorker {
+    fn new(netlist: &Netlist, class_mask: Option<&[bool]>) -> Self {
+        ChunkWorker {
+            filter: PairFilter::for_netlist(netlist),
+            roles: endpoint_roles(netlist, class_mask),
+            chunks_seen: 0,
+        }
+    }
+}
+
+/// Extracts everything single-node learning derives from the two polarity
+/// traces of one stem and adds it to `out`.
+fn harvest_stem<T: TraceRead>(
+    netlist: &Netlist,
+    stem: NodeId,
+    t0: &T,
+    t1: &T,
     learn_cross_frame: bool,
-    outcome: &mut SingleNodeOutcome,
+    worker: &mut ChunkWorker,
+    out: &mut ChunkHarvest,
 ) {
-    let netlist = sim.netlist();
-    let packed = simulate_stem_batch_packed(sim, chunk, options);
-    for (k, &stem) in chunk.iter().enumerate() {
-        harvest_stem(
-            netlist,
-            stem,
-            &packed.lane(2 * k),
-            &packed.lane(2 * k + 1),
-            roles,
-            learn_cross_frame,
-            filter,
-            outcome,
-        );
+    let frames = t0.num_frames().min(t1.num_frames());
+    let repeated = repeated_frame_pairs(t0, t1, frames);
+    out.ties
+        .extend(extract_ties_skipping(netlist, stem, t0, t1, &repeated));
+    extract_relations_into(
+        stem,
+        t0,
+        t1,
+        &repeated,
+        &worker.roles,
+        &mut worker.filter,
+        &mut out.implications,
+    );
+    if learn_cross_frame {
+        out.cross_frame
+            .extend(extract_cross_frame(netlist, stem, false, t0));
+        out.cross_frame
+            .extend(extract_cross_frame(netlist, stem, true, t1));
     }
+    support_log(netlist, stem, false, t0, &mut out.support);
+    support_log(netlist, stem, true, t1, &mut out.support);
+    out.stems += 1;
 }
 
-/// Runs single-node learning over `stems` sharded across `threads` worker
-/// threads, producing **exactly** the outcome of [`run_batched`] — the same
-/// implication stream (including the duplicate-filter suppressions), ties,
-/// cross-frame relations and support map.
+/// Runs single-node learning over `stems` on `threads` workers (inline on
+/// the caller's thread when `threads <= 1`), packing [`STEMS_PER_BATCH`]
+/// stems — both polarities each — into every forward pass. Produces exactly
+/// the outcome of the scalar [`run`]: the same implication stream (including
+/// the duplicate-filter suppressions), ties, cross-frame relations and
+/// support map.
 ///
-/// Stems are split at the same [`STEMS_PER_BATCH`] boundaries as the
-/// single-thread pass and claimed dynamically; each worker keeps a private
-/// [`PairFilter`] that persists across the chunks it happens to claim. That
-/// makes the *per-chunk* emission lists schedule-dependent (a worker
-/// suppresses pairs it saw in an earlier chunk), but chunks are always
-/// claimed in increasing index order, so a pair's first occurrence in the
-/// chunk-ordered concatenation is exactly its first occurrence in stem order.
-/// The ordered merge then replays the concatenation through one fresh global
-/// filter, which reconstructs the single-thread emission stream bit for bit.
+/// Stems are split at [`STEMS_PER_BATCH`] boundaries and the chunks claimed
+/// dynamically, always in increasing index order; each worker keeps a
+/// private [`PairFilter`] across the chunks it claims. A chunk whose worker
+/// claimed every earlier chunk (always the case on one worker) was filtered
+/// against the whole preceding stream, so its implications are taken as
+/// they are; the ordered merge replays the stream of every later chunk
+/// through one global filter.
 pub fn run_sharded(
     sim: &InjectionSim<'_>,
     stems: &[NodeId],
@@ -662,59 +625,69 @@ pub fn run_sharded(
     learn_cross_frame: bool,
     threads: usize,
 ) -> SingleNodeOutcome {
-    if threads <= 1 || stems.len() <= STEMS_PER_BATCH {
-        return run_batched(sim, stems, options, class_mask, learn_cross_frame);
-    }
     let netlist = sim.netlist();
     let chunks: Vec<&[NodeId]> = stems.chunks(STEMS_PER_BATCH).collect();
-    let outcomes = sla_par::run_indexed_with(
+    let harvests = sla_par::run_indexed_with(
         &chunks,
         threads,
-        |_worker| {
-            (
-                PairFilter::for_netlist(netlist),
-                endpoint_roles(netlist, class_mask),
-            )
-        },
-        |(filter, roles), _i, chunk| {
-            let mut outcome = SingleNodeOutcome::default();
-            harvest_chunk(
-                sim,
-                chunk,
-                options,
-                roles,
-                filter,
-                learn_cross_frame,
-                &mut outcome,
-            );
-            outcome
+        |_worker| ChunkWorker::new(netlist, class_mask),
+        |worker, index, chunk| {
+            let packed = simulate_stem_batch_packed(sim, chunk, options);
+            let mut harvest = ChunkHarvest::new(worker.chunks_seen == index);
+            for (k, &stem) in chunk.iter().enumerate() {
+                harvest_stem(
+                    netlist,
+                    stem,
+                    &packed.lane(2 * k),
+                    &packed.lane(2 * k + 1),
+                    learn_cross_frame,
+                    worker,
+                    &mut harvest,
+                );
+            }
+            worker.chunks_seen += 1;
+            harvest
         },
     );
+    merge(netlist, harvests)
+}
 
-    // Ordered merge (chunk order = stem order). Only the implication stream
-    // needs the replay filter; ties, cross-frame relations and the support
-    // map are never duplicate-filtered by the single-thread pass, so plain
-    // in-order concatenation is already identical.
+/// Ordered merge of chunk harvests (chunk order = stem order).
+///
+/// Only the implication stream can need a replay: ties, cross-frame
+/// relations and support are never duplicate-filtered, so in-order
+/// concatenation is exact. From the first chunk whose worker missed an
+/// earlier chunk, the stream goes through one global filter, fed first with
+/// everything merged so far (a filter's state is exactly the set of pairs it
+/// admitted). A pair's first occurrence in the chunk-ordered concatenation
+/// is its first occurrence in stem order, so the replay reconstructs the
+/// stem-order emission stream bit for bit.
+fn merge(netlist: &Netlist, harvests: impl IntoIterator<Item = ChunkHarvest>) -> SingleNodeOutcome {
     let mut merged = SingleNodeOutcome::default();
-    let mut filter = PairFilter::for_netlist(netlist);
-    for outcome in outcomes {
-        for (imp, seq) in outcome.implications {
-            if filter.admit(
-                imp.antecedent.node,
-                imp.antecedent.value,
-                imp.consequent.node,
-                imp.consequent.value,
-                seq,
-            ) {
-                merged.implications.push((imp, seq));
+    let mut replay: Option<PairFilter> = None;
+    for harvest in harvests {
+        if replay.is_none() && !harvest.in_order {
+            let mut filter = PairFilter::for_netlist(netlist);
+            for &(imp, seq) in &merged.implications {
+                filter.admit_implication(imp, seq);
             }
+            replay = Some(filter);
         }
-        merged.cross_frame.extend(outcome.cross_frame);
-        merged.ties.extend(outcome.ties);
-        for (key, entries) in outcome.support.into_entries() {
-            merged.support.extend_entries(key, entries);
+        match &mut replay {
+            None => merged.implications.extend(harvest.implications),
+            Some(filter) => merged.implications.extend(
+                harvest
+                    .implications
+                    .into_iter()
+                    .filter(|&(imp, seq)| filter.admit_implication(imp, seq)),
+            ),
         }
-        merged.stems_processed += outcome.stems_processed;
+        merged.cross_frame.extend(harvest.cross_frame);
+        merged.ties.extend(harvest.ties);
+        for (key, entry) in harvest.support {
+            merged.support.push(key, entry);
+        }
+        merged.stems_processed += harvest.stems;
     }
     merged
 }
@@ -803,10 +776,9 @@ mod tests {
         let sim = InjectionSim::new(&n).unwrap();
         let i2 = n.require("i2").unwrap();
         let f1 = n.require("f1").unwrap();
-        let (t0, _t1) = simulate_stem(&sim, i2, &SimOptions::default());
-        let mut support = SupportMap::default();
-        accumulate_support(&n, i2, false, &t0, &mut support);
-        let entries = support
+        let outcome = run(&sim, &[i2], &SimOptions::default(), None, false);
+        let entries = outcome
+            .support
             .get(&(f1, false))
             .expect("f1=0 must be supported by i2=0");
         assert!(entries.contains(&(i2, false, 1)));
@@ -840,21 +812,6 @@ mod tests {
         assert!(cross.iter().any(|c| c.antecedent == Literal::new(f1, true)
             && c.consequent == Literal::new(i2, true)
             && c.offset == -1));
-    }
-
-    #[test]
-    fn batched_run_matches_scalar_run() {
-        let n = sample();
-        let sim = InjectionSim::new(&n).unwrap();
-        let stems = sla_netlist::stems::fanout_stems(&n);
-        let options = SimOptions::default();
-        let scalar = run(&sim, &stems, &options, None, true);
-        let batched = run_batched(&sim, &stems, &options, None, true);
-        assert_eq!(scalar.implications, batched.implications);
-        assert_eq!(scalar.ties, batched.ties);
-        assert_eq!(scalar.cross_frame, batched.cross_frame);
-        assert_eq!(scalar.support, batched.support);
-        assert_eq!(scalar.stems_processed, batched.stems_processed);
     }
 
     /// Enough independent motif copies to exceed several [`STEMS_PER_BATCH`]
@@ -901,29 +858,40 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn sharded_run_matches_batched_run() {
-        let n = many_stems(40);
-        let sim = InjectionSim::new(&n).unwrap();
-        let stems = sla_netlist::stems::fanout_stems(&n);
-        assert!(
-            stems.len() > 3 * STEMS_PER_BATCH,
-            "need several chunks, got {} stems",
-            stems.len()
-        );
+    /// Every thread count of the batched (packed, sharded) pass must
+    /// reproduce the scalar oracle exactly.
+    fn assert_sharded_matches_scalar(n: &Netlist, chunks_at_least: usize) {
+        let sim = InjectionSim::new(n).unwrap();
+        let stems = sla_netlist::stems::fanout_stems(n);
+        let chunks = stems.len().div_ceil(STEMS_PER_BATCH);
+        assert!(chunks >= chunks_at_least, "{} stems", stems.len());
         let options = SimOptions::default();
-        let reference = run_batched(&sim, &stems, &options, None, true);
+        let reference = run(&sim, &stems, &options, None, true);
         for threads in [1, 2, 3, 8] {
             let sharded = run_sharded(&sim, &stems, &options, None, true, threads);
-            assert_eq!(reference.implications, sharded.implications, "t={threads}");
-            assert_eq!(reference.ties, sharded.ties, "t={threads}");
-            assert_eq!(reference.cross_frame, sharded.cross_frame, "t={threads}");
-            assert_eq!(reference.support, sharded.support, "t={threads}");
-            assert_eq!(
-                reference.stems_processed, sharded.stems_processed,
-                "t={threads}"
-            );
+            let at = format!("{chunks} chunks, t={threads}");
+            assert_eq!(reference.implications, sharded.implications, "{at}");
+            assert_eq!(reference.ties, sharded.ties, "{at}");
+            assert_eq!(reference.cross_frame, sharded.cross_frame, "{at}");
+            assert_eq!(reference.support, sharded.support, "{at}");
+            assert_eq!(reference.stems_processed, sharded.stems_processed, "{at}");
         }
+    }
+
+    /// A single chunk (at most [`STEMS_PER_BATCH`] stems).
+    #[test]
+    fn batched_run_matches_scalar_run() {
+        let n = sample();
+        let stems = sla_netlist::stems::fanout_stems(&n);
+        assert!(stems.len() <= STEMS_PER_BATCH, "{} stems", stems.len());
+        assert_sharded_matches_scalar(&n, 1);
+    }
+
+    /// Several chunks, whose merge replays the duplicate filter once a
+    /// worker misses a chunk.
+    #[test]
+    fn sharded_run_matches_batched_run() {
+        assert_sharded_matches_scalar(&many_stems(40), 4);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!
 //! The thread count itself comes from [`thread_count`]: the `SLA_THREADS`
 //! environment variable when set to a positive integer, otherwise the
-//! machine's available parallelism. `SLA_THREADS=1` is the exact legacy
-//! single-thread path everywhere in the workspace — sharded entry points
-//! delegate to the serial implementation without spawning anything.
+//! machine's available parallelism. `SLA_THREADS=1` spawns nothing: both
+//! primitives then run every job inline on the caller's thread, in
+//! submission order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

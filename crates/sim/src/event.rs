@@ -366,12 +366,6 @@ impl<'a> EventSim<'a> {
     pub fn changed(&self) -> &[u32] {
         &self.changed
     }
-
-    /// The window as per-frame vectors (convenience for tests and the
-    /// from-scratch reference comparisons).
-    pub fn to_frames(&self) -> Vec<Vec<Logic3>> {
-        (0..self.window).map(|t| self.frame(t).to_vec()).collect()
-    }
 }
 
 #[cfg(test)]

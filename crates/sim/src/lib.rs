@@ -7,7 +7,7 @@
 //! * [`Logic3`] — three-valued logic (`0`, `1`, `X`) and gate evaluation,
 //! * [`packed`] — 64-wide packed three-valued words ([`PackedWord`]) and gate
 //!   evaluation, the word-parallel backbone behind batched injection
-//!   simulation ([`InjectionSim::run_batch`]) and word-parallel fault
+//!   simulation ([`InjectionSim::run_batch_packed`]) and word-parallel fault
 //!   dropping,
 //! * [`CombEvaluator`] — single-frame evaluation of the combinational logic in
 //!   levelized order, with forced (injected or tied) nodes and optional

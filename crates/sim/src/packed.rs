@@ -12,9 +12,9 @@
 //!
 //! Consumers pack independent scenarios into the lanes:
 //!
-//! * [`InjectionSim::run_batch`](crate::InjectionSim::run_batch) packs up to 64
-//!   injection jobs (e.g. 32 learning stems × 2 polarities) into one forward
-//!   multi-frame pass,
+//! * [`InjectionSim::run_batch_packed`](crate::InjectionSim::run_batch_packed)
+//!   packs up to 64 injection jobs (e.g. 32 learning stems × 2 polarities)
+//!   into one forward multi-frame pass,
 //! * [`FaultSimulator::detected_faults`](crate::FaultSimulator::detected_faults)
 //!   packs up to 64 faulty machines into one pass over a test sequence.
 

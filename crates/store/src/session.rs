@@ -94,11 +94,6 @@ impl<'a> Session<'a> {
         &self.learned
     }
 
-    /// The report of the last learning step, if one ran.
-    pub fn learn_report(&self) -> Option<&LearnReport> {
-        self.report.as_ref()
-    }
-
     /// Runs sequential learning on the session netlist and keeps the result
     /// for subsequent ATPG calls.
     pub fn learn(&mut self, options: &LearnOptions) -> Result<&LearnReport, NetlistError> {

@@ -4,13 +4,13 @@
 //! must classify every fault identically across the learning modes that were
 //! verified to agree before the rewrite.
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode};
 use seqlearn::circuits::{
     industrial_circuit, paper_style_figure1, paper_style_figure2, retimed_circuit,
     IndustrialConfig, RetimedConfig,
 };
 use seqlearn::learn::classes::clock_classes;
-use seqlearn::learn::{multi_node, single_node, LearnConfig, SequentialLearner};
+use seqlearn::learn::{multi_node, single_node, LearnOptions, SequentialLearner};
 use seqlearn::netlist::stems::fanout_stems;
 use seqlearn::netlist::{Netlist, NodeId};
 use seqlearn::sim::{collapsed_fault_list, find_equivalences, InjectionSim, SimOptions};
@@ -35,12 +35,13 @@ fn named_circuits() -> Vec<Netlist> {
 }
 
 /// Mirrors the per-class phase structure of `SequentialLearner::learn` and
-/// asserts, class by class, that the batched phases equal the scalar
-/// reference phases — including the tied-state chaining between them.
+/// asserts, class by class and at every thread count, that the batched
+/// phases equal the scalar reference phases — including the tied-state
+/// chaining between them.
 #[test]
 fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
     for netlist in named_circuits() {
-        let config = LearnConfig::default();
+        let config = LearnOptions::default();
         let stems = fanout_stems(&netlist);
         let equivalences = find_equivalences(&netlist, &config.equiv_config).unwrap();
         let classes = clock_classes(&netlist);
@@ -76,22 +77,21 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
 
             let sim = make_sim(&tied);
             let scalar = single_node::run(&sim, &class_stems, &options, mask.as_deref(), true);
-            let batched =
-                single_node::run_batched(&sim, &class_stems, &options, mask.as_deref(), true);
-            assert_eq!(
-                scalar.implications,
-                batched.implications,
-                "{}",
-                netlist.name()
-            );
-            assert_eq!(scalar.ties, batched.ties, "{}", netlist.name());
-            assert_eq!(
-                scalar.cross_frame,
-                batched.cross_frame,
-                "{}",
-                netlist.name()
-            );
-            assert_eq!(scalar.support, batched.support, "{}", netlist.name());
+            for threads in [1, 2, 3, 8] {
+                let at = format!("{} t={threads}", netlist.name());
+                let batched = single_node::run_sharded(
+                    &sim,
+                    &class_stems,
+                    &options,
+                    mask.as_deref(),
+                    true,
+                    threads,
+                );
+                assert_eq!(scalar.implications, batched.implications, "{at}");
+                assert_eq!(scalar.ties, batched.ties, "{at}");
+                assert_eq!(scalar.cross_frame, batched.cross_frame, "{at}");
+                assert_eq!(scalar.support, batched.support, "{at}");
+            }
 
             for tie in &scalar.ties {
                 if !tied.iter().any(|&(n, _)| n == tie.node) {
@@ -107,29 +107,26 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
                 config.max_multi_node_targets,
                 true,
             );
-            let mut batched_sim = make_sim(&tied);
-            let multi_batched = multi_node::run_batched(
-                &mut batched_sim,
-                &scalar.support,
-                &options,
-                mask.as_deref(),
-                config.max_multi_node_targets,
-                true,
-            );
-            assert_eq!(
-                multi_scalar.implications,
-                multi_batched.implications,
-                "{}",
-                netlist.name()
-            );
-            assert_eq!(multi_scalar.ties, multi_batched.ties, "{}", netlist.name());
-            assert_eq!(
-                multi_scalar.cross_frame,
-                multi_batched.cross_frame,
-                "{}",
-                netlist.name()
-            );
-            assert_eq!(scalar_sim.tied(), batched_sim.tied(), "{}", netlist.name());
+            for threads in [1, 2, 3, 8] {
+                let at = format!("{} t={threads}", netlist.name());
+                let mut batched_sim = make_sim(&tied);
+                let multi_batched = multi_node::run_sharded(
+                    &mut batched_sim,
+                    &scalar.support,
+                    &options,
+                    mask.as_deref(),
+                    config.max_multi_node_targets,
+                    true,
+                    threads,
+                );
+                assert_eq!(
+                    multi_scalar.implications, multi_batched.implications,
+                    "{at}"
+                );
+                assert_eq!(multi_scalar.ties, multi_batched.ties, "{at}");
+                assert_eq!(multi_scalar.cross_frame, multi_batched.cross_frame, "{at}");
+                assert_eq!(scalar_sim.tied(), batched_sim.tied(), "{at}");
+            }
             for tie in &multi_scalar.ties {
                 if !tied.iter().any(|&(n, _)| n == tie.node) {
                     tied.push((tie.node, tie.value));
@@ -157,20 +154,20 @@ fn learning_modes_classify_retimed_faults_identically() {
         ..RetimedConfig::default()
     });
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .unwrap(),
     );
     let mut faults = collapsed_fault_list(&netlist);
     faults.truncate(60);
 
-    let baseline = AtpgEngine::new(&netlist, AtpgConfig::builder().backtrack_limit(30).build())
+    let baseline = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
         .unwrap()
         .run(&faults);
     for mode in [LearningMode::ForbiddenValue, LearningMode::KnownValue] {
         let run = AtpgEngine::new(
             &netlist,
-            AtpgConfig::builder()
+            AtpgOptions::builder()
                 .backtrack_limit(30)
                 .learning(mode)
                 .build(),

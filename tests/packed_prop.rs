@@ -63,7 +63,7 @@ proptest! {
         }
     }
 
-    /// `run_batch` produces, lane for lane, exactly the trace the scalar
+    /// `run_batch_packed` produces, lane for lane, exactly the trace the scalar
     /// `run` produces for the same injection job — frames, values, conflicts
     /// and state-repeat flags — on random netlists and random multi-frame
     /// injection batches.
@@ -102,11 +102,11 @@ proptest! {
             stop_on_repeat: true,
             respect_seq_rules: true,
         };
-        let batch = sim.run_batch(&job_slices, &options);
-        prop_assert_eq!(batch.len(), jobs);
-        for (job, packed) in job_slices.iter().zip(&batch) {
+        let batch = sim.run_batch_packed(&job_slices, &options);
+        prop_assert_eq!(batch.lanes(), jobs);
+        for (lane, job) in job_slices.iter().enumerate() {
             let scalar = sim.run(job, &options);
-            prop_assert_eq!(packed, &scalar, "lane trace differs for {:?}", job);
+            prop_assert_eq!(batch.to_trace(lane), scalar, "lane trace differs for {:?}", job);
         }
     }
 
@@ -137,8 +137,8 @@ proptest! {
             stop_on_repeat: false,
             respect_seq_rules: true,
         };
-        let batch = sim.run_batch_with_limits(&job_slices, &options, &limits);
-        for ((job, &limit), packed) in job_slices.iter().zip(&limits).zip(&batch) {
+        let batch = sim.run_batch_with_limits_packed(&job_slices, &options, &limits);
+        for (lane, (job, &limit)) in job_slices.iter().zip(&limits).enumerate() {
             let scalar = sim.run(
                 job,
                 &SimOptions {
@@ -146,13 +146,14 @@ proptest! {
                     ..options
                 },
             );
-            prop_assert_eq!(packed, &scalar);
+            prop_assert_eq!(batch.to_trace(lane), scalar);
         }
     }
 
-    /// Batched single-node learning produces exactly the scalar outcome —
-    /// relations (with flags and order), ties, cross-frame relations, the
-    /// support map — on random netlists, with and without a class mask.
+    /// Batched single-node learning produces exactly the scalar outcome at
+    /// every thread count — relations (with flags and order), ties,
+    /// cross-frame relations, the support map — on random netlists, with and
+    /// without a class mask.
     #[test]
     fn batched_single_node_learning_matches_scalar(
         seed in 0u64..300,
@@ -177,17 +178,20 @@ proptest! {
             None
         };
         let scalar = single_node::run(&sim, &stems, &options, mask.as_deref(), true);
-        let batched = single_node::run_batched(&sim, &stems, &options, mask.as_deref(), true);
-        prop_assert_eq!(scalar.implications, batched.implications);
-        prop_assert_eq!(scalar.ties, batched.ties);
-        prop_assert_eq!(scalar.cross_frame, batched.cross_frame);
-        prop_assert_eq!(scalar.support, batched.support);
-        prop_assert_eq!(scalar.stems_processed, batched.stems_processed);
+        for threads in [1, 2, 3, 8] {
+            let batched =
+                single_node::run_sharded(&sim, &stems, &options, mask.as_deref(), true, threads);
+            prop_assert_eq!(&scalar.implications, &batched.implications, "t={}", threads);
+            prop_assert_eq!(&scalar.ties, &batched.ties, "t={}", threads);
+            prop_assert_eq!(&scalar.cross_frame, &batched.cross_frame, "t={}", threads);
+            prop_assert_eq!(&scalar.support, &batched.support, "t={}", threads);
+            prop_assert_eq!(scalar.stems_processed, batched.stems_processed, "t={}", threads);
+        }
     }
 
     /// Batched multiple-node learning — including its tie-restart protocol —
-    /// produces exactly the scalar outcome and leaves the simulator with the
-    /// same tied set.
+    /// produces exactly the scalar outcome at every thread count and leaves
+    /// the simulator with the same tied set.
     #[test]
     fn batched_multi_node_learning_matches_scalar(
         seed in 0u64..300,
@@ -201,14 +205,23 @@ proptest! {
         let single = single_node::run(&base, &stems, &options, None, false);
         let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
         let scalar = multi_node::run(&mut scalar_sim, &single.support, &options, None, 0, true);
-        let mut batched_sim = InjectionSim::new(&netlist).unwrap();
-        let batched =
-            multi_node::run_batched(&mut batched_sim, &single.support, &options, None, 0, true);
-        prop_assert_eq!(scalar.implications, batched.implications);
-        prop_assert_eq!(scalar.ties, batched.ties);
-        prop_assert_eq!(scalar.cross_frame, batched.cross_frame);
-        prop_assert_eq!(scalar.targets_processed, batched.targets_processed);
-        prop_assert_eq!(scalar_sim.tied(), batched_sim.tied());
+        for threads in [1, 2, 3, 8] {
+            let mut batched_sim = InjectionSim::new(&netlist).unwrap();
+            let batched = multi_node::run_sharded(
+                &mut batched_sim,
+                &single.support,
+                &options,
+                None,
+                0,
+                true,
+                threads,
+            );
+            prop_assert_eq!(&scalar.implications, &batched.implications, "t={}", threads);
+            prop_assert_eq!(&scalar.ties, &batched.ties, "t={}", threads);
+            prop_assert_eq!(&scalar.cross_frame, &batched.cross_frame, "t={}", threads);
+            prop_assert_eq!(scalar.targets_processed, batched.targets_processed, "t={}", threads);
+            prop_assert_eq!(scalar_sim.tied(), batched_sim.tied(), "t={}", threads);
+        }
     }
 
     /// Word-parallel fault dropping classifies every fault exactly like the
