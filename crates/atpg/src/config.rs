@@ -67,7 +67,7 @@ pub struct AtpgOptions {
     /// drop everything it detects.
     pub fault_dropping: bool,
     /// Deterministic work budget for the whole run: one unit per decision and
-    /// one per backtrack, charged at the serial merge boundary so the stopping
+    /// one per backtrack, charged at the ordered merge boundary so the stopping
     /// point is bit-identical for every `SLA_THREADS`. When the budget runs
     /// out, already-merged verdicts are kept and the unprocessed tail is
     /// classified `Aborted(Budget)`. Unlimited by default.

@@ -9,11 +9,11 @@
 //! resilience layer builds on:
 //!
 //! * **Deterministic budgets** — [`AtpgOptions::budget`] bounds the run in
-//!   work units (one per decision, one per backtrack), charged at the serial
-//!   merge boundary. The stopping point is a pure function of the merged
-//!   fault prefix, so a budget-limited run reports the *same* classified
-//!   prefix for every `SLA_THREADS`; the unprocessed tail is classified
-//!   [`AbortReason::Budget`].
+//!   work units (one per decision, one per backtrack), charged at the
+//!   ordered merge boundary. The stopping point is a pure function of the
+//!   merged fault prefix, so a budget-limited run reports the *same*
+//!   classified prefix for every `SLA_THREADS`; the unprocessed tail is
+//!   classified [`AbortReason::Budget`].
 //! * **Checkpoint/resume** — `advance` accepts a `stop_before` fault index;
 //!   the suspended [`RunProgress`] can be snapshotted (see `sla-snapshot`)
 //!   and later rebuilt with [`RunProgress::from_parts`], and the resumed run
@@ -79,9 +79,10 @@ pub struct AtpgStats {
     /// Total number of test vectors (frames) across all sequences.
     pub test_vectors: usize,
     /// Speculative generations discarded because an earlier-merged sequence
-    /// dropped the fault before its merge turn (always 0 on the serial
-    /// path). A perf diagnostic: it varies with the thread count and wave
-    /// partition, never with the verdicts.
+    /// dropped the fault before its merge turn (always 0 with one worker,
+    /// whose waves hold only the merge blocker). A perf diagnostic: it
+    /// varies with the thread count and wave partition, never with the
+    /// verdicts.
     pub wasted_speculations: usize,
     /// Work units charged against [`AtpgOptions::budget`] (decisions +
     /// backtracks of merged searches). Deterministic across thread counts.
@@ -314,9 +315,10 @@ impl<'a> AtpgEngine<'a> {
     /// comes from the `SLA_THREADS` environment variable (default: the
     /// machine's available parallelism). Per-fault verdicts, backtrack and
     /// decision counts, dropped-fault sets and generated sequences are
-    /// **bit-identical** for every thread count — `SLA_THREADS=1` is the
-    /// exact legacy serial path, and [`AtpgEngine::run_with_threads`] pins
-    /// the count explicitly.
+    /// **bit-identical** for every thread count: every count runs the same
+    /// ordered wave merge of [`AtpgEngine::advance`] (`SLA_THREADS=1` runs
+    /// it inline on the calling thread), and
+    /// [`AtpgEngine::run_with_threads`] pins the count explicitly.
     pub fn run(&self, faults: &[Fault]) -> AtpgRun {
         self.run_with_threads(faults, sla_par::thread_count())
     }
@@ -374,14 +376,16 @@ impl<'a> AtpgEngine<'a> {
     /// Faults are coupled only through fault dropping: the sequence generated
     /// for fault *i* may classify later faults without search, and whether
     /// fault *j* is searched at all depends on every earlier verdict. The
-    /// sharded path therefore generates **speculatively in waves**: the next
-    /// few unclassified faults are searched in parallel (test generation is a
+    /// run therefore generates **speculatively in waves**: the next few
+    /// unclassified faults are searched in parallel (test generation is a
     /// pure function of one fault), and the results are merged strictly in
-    /// fault order, replaying the serial drop protocol — a speculative result
-    /// for a fault that an earlier-merged sequence drops is discarded, and
-    /// its backtracks are not counted, exactly as if it had never been
-    /// searched. The wave depth adapts to the observed drop density so
-    /// drop-heavy fault lists do not drown in wasted speculation.
+    /// fault order, replaying the drop protocol — a speculative result for a
+    /// fault that an earlier-merged sequence drops is discarded, and its
+    /// backtracks are not counted, exactly as if it had never been searched.
+    /// The wave depth adapts to the observed drop density so drop-heavy
+    /// fault lists do not drown in wasted speculation. With one worker every
+    /// wave is the merge blocker alone, searched inline on the caller's
+    /// thread, so nothing is ever speculated.
     pub fn advance(
         &self,
         faults: &[Fault],
@@ -389,33 +393,28 @@ impl<'a> AtpgEngine<'a> {
         progress: &mut RunProgress,
         stop_before: Option<usize>,
     ) {
+        self.advance_streaming(faults, threads, progress, stop_before, |_, _| {});
+    }
+
+    /// [`AtpgEngine::advance`] that hands each fault's `(index, verdict)` to
+    /// `sink` as the ordered merge moves past it: in ascending index order,
+    /// once per fault, identical for every thread count. Faults left
+    /// unclassified by an exhausted budget are not emitted; [`finish`]
+    /// classifies them.
+    ///
+    /// [`finish`]: AtpgEngine::finish
+    pub fn advance_streaming(
+        &self,
+        faults: &[Fault],
+        threads: usize,
+        progress: &mut RunProgress,
+        stop_before: Option<usize>,
+        mut sink: impl FnMut(usize, FaultStatus),
+    ) {
         let stop = stop_before.unwrap_or(faults.len()).min(faults.len());
         let budget = self.config.budget;
         let fault_sim = FaultSimulator::with_levels(self.netlist, self.levels.clone());
-
-        if threads <= 1 {
-            let generator = TestGenerator::with_levels(
-                self.netlist,
-                self.levels.clone(),
-                self.config,
-                &self.learned,
-            );
-            while progress.next_fault < stop {
-                let i = progress.next_fault;
-                if progress.verdict(i).is_some() {
-                    progress.next_fault += 1;
-                    continue;
-                }
-                if budget.exhausted(progress.budget_spent) {
-                    return;
-                }
-                let outcome = self.generate_quarantined(&generator, faults, i);
-                self.absorb(i, outcome, faults, &fault_sim, progress);
-                progress.next_fault += 1;
-            }
-            return;
-        }
-
+        let (min_cap, max_cap) = wave_cap_bounds(threads);
         // Fanout-cone masks of the fault sites, used to partition the
         // speculative waves: a test generated for fault *i* mostly
         // exercises *i*'s cone, so faults whose cones are disjoint are
@@ -423,8 +422,13 @@ impl<'a> AtpgEngine<'a> {
         // together wastes almost nothing. This is a heuristic, not a
         // soundness argument: the strict fault-order merge below replays
         // the drop protocol regardless of how the waves were cut, so
-        // only the wasted-speculation count depends on it.
-        let cones = FaultCones::build(self.netlist, faults);
+        // only the wasted-speculation count depends on it. Waves that can
+        // hold only the blocker never build or consult the cones.
+        let mut cones = (max_cap > 1).then(|| {
+            let cones = FaultCones::build(self.netlist, faults);
+            let union = cones.empty_mask();
+            (cones, union)
+        });
         let mut wasted = 0usize;
         sla_par::with_pool(
             threads,
@@ -438,55 +442,54 @@ impl<'a> AtpgEngine<'a> {
             },
             |generator, idx: usize| (idx, self.generate_quarantined(generator, faults, idx)),
             |pool| {
-                // Speculation depth: at least one fault per worker; grows
-                // on waste-free merges, shrinks when a quarter of the
-                // merged results had been dropped by earlier sequences.
-                // All of this is a pure function of merged state, so wave
-                // boundaries — which affect only performance — are
-                // deterministic too.
-                let mut wave_cap = threads;
+                // Speculation depth: grows on waste-free merges, shrinks
+                // when a quarter of the merged results had been dropped by
+                // earlier sequences. All of this is a pure function of
+                // merged state, so wave boundaries — which affect only
+                // performance — are deterministic too.
+                let mut wave_cap = min_cap;
                 let mut results: FastHashMap<usize, JobOutcome<GenResult>> = FastHashMap::default();
-                let mut union = cones.empty_mask();
-                let mut last_wave = 0usize;
+                let mut wave: Vec<usize> = Vec::with_capacity(max_cap);
                 let mut wasted_before = 0usize;
                 loop {
                     // Ordered merge: strictly ascending fault index,
-                    // replaying the serial loop (including dropping and the
-                    // budget stop). A speculative result may wait here across
-                    // waves until every earlier fault is classified —
-                    // generation is a pure function of the fault, so a held
-                    // result stays valid as long as its fault is
-                    // unclassified.
+                    // replaying the drop protocol and the budget stop. A
+                    // speculative result may wait here across waves until
+                    // every earlier fault is classified — generation is a
+                    // pure function of the fault, so a held result stays
+                    // valid as long as its fault is unclassified.
                     let mut exhausted = false;
                     while progress.next_fault < stop {
                         let next = progress.next_fault;
                         if progress.verdict(next).is_some() {
                             // Classified without a search (tied screening
-                            // or dropped): the serial run never searched
-                            // it — a speculative result is wasted work.
+                            // or dropped): a speculative result is wasted
+                            // work.
                             if results.remove(&next).is_some() {
                                 wasted += 1;
                             }
-                            progress.next_fault += 1;
                         } else if budget.exhausted(progress.budget_spent) {
-                            // Same check position as the serial loop: a
-                            // pure function of the merged prefix, so every
-                            // thread count stops at this exact fault.
+                            // Checked before every search: a pure function
+                            // of the merged prefix, so every thread count
+                            // stops at this exact fault.
                             exhausted = true;
                             break;
                         } else if let Some(outcome) = results.remove(&next) {
                             self.absorb(next, outcome, faults, &fault_sim, progress);
-                            progress.next_fault += 1;
                         } else {
                             break;
                         }
+                        if let Some(verdict) = progress.verdict(next) {
+                            sink(next, verdict);
+                        }
+                        progress.next_fault += 1;
                     }
-                    if last_wave > 0 {
+                    if !wave.is_empty() {
                         let wave_waste = wasted - wasted_before;
-                        if wave_waste * 4 >= last_wave {
-                            wave_cap = (wave_cap / 2).max(threads);
+                        if wave_waste * 4 >= wave.len() {
+                            wave_cap = (wave_cap / 2).max(min_cap);
                         } else if wave_waste == 0 {
-                            wave_cap = (wave_cap * 2).min(8 * threads);
+                            wave_cap = (wave_cap * 2).min(max_cap);
                         }
                     }
                     if exhausted || progress.next_fault >= stop {
@@ -497,21 +500,24 @@ impl<'a> AtpgEngine<'a> {
                     // unclassified faults whose cones are disjoint from
                     // everything already in the wave.
                     let blocker = progress.next_fault;
-                    let mut wave = vec![blocker];
-                    union.copy_from(cones.mask(blocker));
-                    let scan_limit = 8 * wave_cap;
-                    let mut idx = blocker + 1;
-                    let mut scanned = 0usize;
-                    while wave.len() < wave_cap && idx < stop && scanned < scan_limit {
-                        if progress.verdict(idx).is_none()
-                            && !results.contains_key(&idx)
-                            && union.disjoint(cones.mask(idx))
-                        {
-                            union.union_with(cones.mask(idx));
-                            wave.push(idx);
+                    wave.clear();
+                    wave.push(blocker);
+                    if let Some((cones, union)) = cones.as_mut() {
+                        union.copy_from(cones.mask(blocker));
+                        let scan_limit = 8 * wave_cap;
+                        let mut idx = blocker + 1;
+                        let mut scanned = 0usize;
+                        while wave.len() < wave_cap && idx < stop && scanned < scan_limit {
+                            if progress.verdict(idx).is_none()
+                                && !results.contains_key(&idx)
+                                && union.disjoint(cones.mask(idx))
+                            {
+                                union.union_with(cones.mask(idx));
+                                wave.push(idx);
+                            }
+                            scanned += 1;
+                            idx += 1;
                         }
-                        scanned += 1;
-                        idx += 1;
                     }
                     for &i in &wave {
                         pool.submit(i);
@@ -520,7 +526,6 @@ impl<'a> AtpgEngine<'a> {
                         let (i, result) = pool.recv();
                         results.insert(i, result);
                     }
-                    last_wave = wave.len();
                     wasted_before = wasted;
                 }
             },
@@ -603,9 +608,11 @@ impl<'a> AtpgEngine<'a> {
         })
     }
 
-    /// Merges the generation outcome of fault `i` into the run state — the
-    /// loop body shared verbatim by the serial path and the in-order merge of
-    /// the sharded path (which is what keeps the two bit-identical).
+    /// Merges the generation outcome of fault `i` into the run state: its
+    /// verdict, its search counts and, when fault dropping is on, every later
+    /// unclassified fault its sequence detects. Called by the ordered merge
+    /// of [`AtpgEngine::advance_streaming`] once per searched fault, in fault
+    /// order.
     fn absorb(
         &self,
         i: usize,
@@ -653,6 +660,17 @@ impl<'a> AtpgEngine<'a> {
             GenOutcome::Untestable => progress.classify(i, FaultStatus::Untestable),
             GenOutcome::Aborted => progress.classify(i, FaultStatus::Aborted(AbortReason::Limit)),
         }
+    }
+}
+
+/// Smallest and largest wave (merge blocker included) for `workers`
+/// workers. Waves start and bottom out at one fault per worker and grow to
+/// eight per worker. A lone worker has no idle peer to speculate for, so
+/// its waves are the blocker alone and nothing it searches is ever wasted.
+fn wave_cap_bounds(workers: usize) -> (usize, usize) {
+    match workers {
+        0 | 1 => (1, 1),
+        w => (w, 8 * w),
     }
 }
 
@@ -869,9 +887,61 @@ mod tests {
         assert!(with_drop.stats.detected >= without_drop.stats.detected);
     }
 
-    /// Sharded runs must replay the serial drop protocol bit for bit: same
-    /// verdicts, same backtrack/decision totals, same sequences — with fault
-    /// dropping both on (speculation discards) and off (fully independent).
+    /// The drop protocol written out directly, independent of `absorb` and
+    /// of the wave merge: take the next unclassified fault, stop once the
+    /// budget is spent, generate a test, and drop every later unclassified
+    /// fault its sequence detects.
+    fn reference_run(engine: &AtpgEngine<'_>, faults: &[Fault]) -> AtpgRun {
+        let (config, netlist) = (engine.config, engine.netlist);
+        let generator = TestGenerator::new(netlist, config, &engine.learned).unwrap();
+        let sim = FaultSimulator::new(netlist).unwrap();
+        let mut status = engine.start(faults).status().to_vec();
+        let mut run = AtpgRun::default();
+        for i in 0..faults.len() {
+            if status[i].is_some() {
+                continue;
+            }
+            if config.budget.exhausted(run.stats.budget_spent) {
+                break;
+            }
+            let result = generator.generate(&faults[i]);
+            run.stats.backtracks += result.backtracks;
+            run.stats.decisions += result.decisions;
+            run.stats.budget_spent += (result.backtracks + result.decisions) as u64;
+            status[i] = Some(match result.outcome {
+                GenOutcome::Detected(sequence) => {
+                    if config.fault_dropping {
+                        let later: Vec<usize> = (i + 1..faults.len())
+                            .filter(|&j| status[j].is_none())
+                            .collect();
+                        let targets: Vec<Fault> = later.iter().map(|&j| faults[j]).collect();
+                        for (&j, hit) in later.iter().zip(sim.detected_faults(&targets, &sequence))
+                        {
+                            if hit {
+                                status[j] = Some(FaultStatus::Detected);
+                            }
+                        }
+                    }
+                    run.stats.test_vectors += sequence.len();
+                    run.sequences.push(sequence);
+                    FaultStatus::Detected
+                }
+                GenOutcome::Untestable => FaultStatus::Untestable,
+                GenOutcome::Aborted => FaultStatus::Aborted(AbortReason::Limit),
+            });
+        }
+        run.status = status
+            .into_iter()
+            .map(|s| s.unwrap_or(FaultStatus::Aborted(AbortReason::Budget)))
+            .collect();
+        run
+    }
+
+    /// Every thread count must replay the drop protocol of
+    /// [`reference_run`] bit for bit: same verdicts, same backtrack/decision
+    /// totals, same sequences — with fault dropping both on (speculation
+    /// discards) and off (fully independent), unlimited and under a work
+    /// budget that stops the run partway.
     #[test]
     fn sharded_run_matches_serial_run() {
         let n = sample();
@@ -882,38 +952,33 @@ mod tests {
         );
         let faults = full_fault_list(&n);
         for dropping in [true, false] {
-            let config = AtpgOptions::builder()
+            let builder = AtpgOptions::builder()
                 .fault_dropping(dropping)
-                .learning(LearningMode::ForbiddenValue)
-                .build();
-            let engine = AtpgEngine::new(&n, config)
+                .learning(LearningMode::ForbiddenValue);
+            let engine = AtpgEngine::new(&n, builder.build())
                 .unwrap()
                 .with_learned(learned.clone());
-            let reference = engine.run_with_threads(&faults, 1);
-            for threads in [2, 3, 8] {
-                let sharded = engine.run_with_threads(&faults, threads);
-                assert_eq!(reference.status, sharded.status, "t={threads}");
-                assert_eq!(reference.sequences, sharded.sequences, "t={threads}");
-                assert_eq!(
-                    reference.stats.backtracks, sharded.stats.backtracks,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.stats.decisions, sharded.stats.decisions,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.stats.untestable_from_ties, sharded.stats.untestable_from_ties,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.stats.test_vectors, sharded.stats.test_vectors,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.stats.budget_spent, sharded.stats.budget_spent,
-                    "t={threads}"
-                );
+            let unlimited = reference_run(&engine, &faults).stats.budget_spent;
+            let budgeted = builder.budget(WorkBudget::units(unlimited / 2)).build();
+            let budgeted = AtpgEngine::new(&n, budgeted)
+                .unwrap()
+                .with_learned(learned.clone());
+            assert!(reference_run(&budgeted, &faults)
+                .status
+                .contains(&FaultStatus::Aborted(AbortReason::Budget)));
+            for engine in [&engine, &budgeted] {
+                let reference = reference_run(engine, &faults);
+                for threads in [1, 2, 3, 8] {
+                    let run = engine.run_with_threads(&faults, threads);
+                    let at = format!("t={threads} dropping={dropping}");
+                    assert_eq!(reference.status, run.status, "{at}");
+                    assert_eq!(reference.sequences, run.sequences, "{at}");
+                    let (r, s) = (&reference.stats, &run.stats);
+                    assert_eq!(r.backtracks, s.backtracks, "{at}");
+                    assert_eq!(r.decisions, s.decisions, "{at}");
+                    assert_eq!(r.test_vectors, s.test_vectors, "{at}");
+                    assert_eq!(r.budget_spent, s.budget_spent, "{at}");
+                }
             }
         }
     }
@@ -930,11 +995,11 @@ mod tests {
         let n = sample();
         let faults = full_fault_list(&n);
         let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
-        let serial = engine.run_with_threads(&faults, 1);
-        assert_eq!(serial.stats.wasted_speculations, 0, "serial never wastes");
+        let one = engine.run_with_threads(&faults, 1);
+        assert_eq!(one.stats.wasted_speculations, 0, "one thread never wastes");
         for threads in [2, 4] {
             let sharded = engine.run_with_threads(&faults, threads);
-            assert_eq!(serial.status, sharded.status, "t={threads}");
+            assert_eq!(one.status, sharded.status, "t={threads}");
             assert_eq!(
                 sharded.stats.wasted_speculations, 0,
                 "cone-disjoint waves must not waste a single speculation on \

@@ -98,8 +98,8 @@ fn atpg_search_incremental(c: &mut Criterion) {
 
 /// Thread scaling of the wave-sharded ATPG loop on the Table-5 workload
 /// (learning mode, fault dropping on — the worst case for speculation). The
-/// `threads/1` lane is the exact serial path; the others produce
-/// bit-identical verdicts, backtracks and sequences (property-tested in
+/// `threads/1` lane runs the same waves inline, one fault each; the others
+/// produce bit-identical verdicts, backtracks and sequences (property-tested in
 /// `tests/par_prop.rs`). Explicit counts are passed through
 /// `run_with_threads`, independent of the `SLA_THREADS` environment the JSON
 /// metadata records.

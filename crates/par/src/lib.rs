@@ -16,7 +16,7 @@
 //!   keeps any order-sensitive reduction identical to the serial loop.
 //! * [`with_pool`] — a scoped worker pool with per-worker state and a
 //!   submit/collect handle, for pipelines that interleave parallel phases with
-//!   serial merge steps (speculative ATPG waves, speculative learning
+//!   ordered merge steps (speculative ATPG waves, multiple-node learning
 //!   batches). Workers live for the whole pool scope, so per-worker setup
 //!   (test generators, simulators) is paid once, not per job.
 //!
@@ -28,7 +28,7 @@
 //! environment variable when set to a positive integer, otherwise the
 //! machine's available parallelism. `SLA_THREADS=1` spawns nothing: both
 //! primitives then run every job inline on the caller's thread, in
-//! submission order.
+//! submission order, so one caller schedule serves every thread count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,7 +74,7 @@ pub fn default_parallelism() -> usize {
 
 /// Parallel map over `items` with dynamic work stealing; the result vector is
 /// in item order. With `threads <= 1` (or at most one item) the map runs
-/// inline on the caller's thread — the exact serial path, no spawn.
+/// inline on the caller's thread, with no spawn.
 ///
 /// `f` receives `(index, &item)` and must be a pure function of them for the
 /// whole call to be deterministic.
@@ -265,8 +265,7 @@ impl<Job, Out> PoolHandle<'_, Job, Out> {
     ///
     /// In inline mode (`threads <= 1`) the job runs immediately on the
     /// caller's thread and its result is buffered for [`PoolHandle::recv`] —
-    /// submission order then equals completion order, matching the serial
-    /// loop exactly.
+    /// submission order then equals completion order.
     pub fn submit(&mut self, job: Job) {
         match &mut self.inline {
             Some(run) => {
@@ -316,10 +315,11 @@ impl<'p, Job, Out> PoolHandle<'p, Job, Out> {
 /// from `init(worker_id)` and executing jobs with `work`. The pool is torn
 /// down when `body` returns; its return value is passed through.
 ///
-/// With `threads <= 1` no thread is spawned: jobs run inline at submission
-/// (serial-exact path). The pool makes **no ordering guarantee** between
-/// results of concurrently executing jobs — determinism comes from the
-/// caller's ordered merge, exactly as with [`run_indexed`].
+/// With `threads <= 1` no thread is spawned: jobs run inline on the caller's
+/// thread at submission and results come back in submission order, so one
+/// body serves every thread count. The pool makes **no ordering guarantee**
+/// between results of concurrently executing jobs — determinism comes from
+/// the caller's ordered merge, exactly as with [`run_indexed`].
 pub fn with_pool<Job, Out, S, I, W, F, R>(threads: usize, init: I, work: W, body: F) -> R
 where
     Job: Send,

@@ -392,8 +392,19 @@ pub fn read_message(input: &mut impl Read) -> Result<Option<Message>, ProtoError
     if len > MAX_FRAME {
         return Err(ProtoError::Oversize(len));
     }
-    let mut frame = vec![0u8; len as usize];
-    input.read_exact(&mut frame).map_err(ProtoError::Io)?;
+    // The buffer grows as bytes arrive, so a prefix that claims more than
+    // the peer sends costs only what was sent, never `len` up front.
+    let mut frame = Vec::new();
+    input
+        .take(u64::from(len))
+        .read_to_end(&mut frame)
+        .map_err(ProtoError::Io)?;
+    if frame.len() != len as usize {
+        return Err(ProtoError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame ended before its length prefix",
+        )));
+    }
     Ok(Some(decode_message(&frame)?))
 }
 
@@ -574,5 +585,42 @@ mod tests {
             read_message(&mut cursor),
             Err(ProtoError::Oversize(_))
         ));
+    }
+
+    /// Hands out `data`, then EOF, recording the largest buffer a read
+    /// call is offered.
+    struct Recording<'d> {
+        data: &'d [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    /// A length prefix claiming `MAX_FRAME` followed by a few bytes is a
+    /// typed I/O error, and the reader is never offered a buffer anywhere
+    /// near the claimed length.
+    #[test]
+    fn claimed_length_is_not_allocated_up_front() {
+        let mut data = MAX_FRAME.to_le_bytes().to_vec();
+        data.extend_from_slice(b"SLAF and then nothing");
+        let mut reader = Recording {
+            data: &data,
+            largest: 0,
+        };
+        assert!(matches!(
+            read_message(&mut reader),
+            Err(ProtoError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+        assert!(
+            reader.largest <= 64 * 1024,
+            "offered a {} byte buffer for {} bytes of payload",
+            reader.largest,
+            data.len() - 4
+        );
     }
 }

@@ -12,11 +12,6 @@ use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::{Netlist, NetlistError};
 use sla_sim::Fault;
 
-/// How many faults each streaming stride merges before verdicts are
-/// emitted. Strides only batch the emission; they cannot change the
-/// verdicts, which are a pure function of the merged fault prefix.
-const STREAM_STRIDE: usize = 32;
-
 /// Where a [`Session::learn_cached`] result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -153,14 +148,15 @@ impl<'a> Session<'a> {
 
     /// Runs ATPG over `faults` with the session's learned database.
     pub fn atpg(&self, options: &AtpgOptions, faults: &[Fault]) -> Result<AtpgRun, NetlistError> {
-        let engine = AtpgEngine::new(self.netlist, *options)?.with_learned(self.learned.clone());
-        Ok(engine.run_with_threads(faults, self.threads))
+        self.atpg_streaming(options, faults, |_, _| {})
     }
 
     /// Like [`Session::atpg`], but emits `(fault index, verdict)` pairs in
-    /// strict fault order as prefixes of the run are merged, before the
-    /// final [`AtpgRun`] is returned. Verdicts are identical to the batch
-    /// run at every thread count; only the emission is incremental.
+    /// strict fault order as the engine's ordered merge moves past each
+    /// fault, before the final [`AtpgRun`] is returned. The tail behind a
+    /// spent work budget is emitted once the run is finished, its unsearched
+    /// faults as `Aborted(Budget)`. Verdicts are identical to the batch run
+    /// at every thread count; only the emission is incremental.
     pub fn atpg_streaming(
         &self,
         options: &AtpgOptions,
@@ -170,28 +166,8 @@ impl<'a> Session<'a> {
         let start = sla_netlist::wallclock::now();
         let engine = AtpgEngine::new(self.netlist, *options)?.with_learned(self.learned.clone());
         let mut progress = engine.start(faults);
-        let mut emitted = 0;
-        while progress.next_fault() < faults.len() {
-            let before = progress.next_fault();
-            engine.advance(
-                faults,
-                self.threads,
-                &mut progress,
-                Some(before + STREAM_STRIDE),
-            );
-            let after = progress.next_fault();
-            for i in emitted..after {
-                sink(
-                    i,
-                    progress.status()[i].expect("merged prefix is classified"),
-                );
-            }
-            emitted = after;
-            if after == before {
-                // The work budget ran out; `finish` classifies the tail.
-                break;
-            }
-        }
+        engine.advance_streaming(faults, self.threads, &mut progress, None, &mut sink);
+        let emitted = progress.next_fault();
         let mut run = engine.finish(progress);
         run.stats.cpu = start.elapsed();
         for (i, status) in run.status.iter().enumerate().skip(emitted) {

@@ -1,10 +1,11 @@
 //! Persistent-store integration tests: round trips, corruption fallback and
 //! the acceptance pin — a warm-store run is bit-identical to a cold run at
-//! `SLA_THREADS ∈ {1, 4}` with zero learning work units on the warm path.
+//! `SLA_THREADS ∈ {1, 4}` with zero learning work units on the warm path —
+//! and the in-process contract of `Session::atpg_streaming`.
 
-use sla_atpg::{AtpgOptions, AtpgRun, LearningMode};
+use sla_atpg::{AbortReason, AtpgOptions, AtpgRun, FaultStatus, LearningMode};
 use sla_circuits::{s27, table5_circuit, Table5Config};
-use sla_core::LearnOptions;
+use sla_core::{LearnOptions, WorkBudget};
 use sla_netlist::Netlist;
 use sla_sim::collapsed_fault_list;
 use sla_snapshot::SnapshotError;
@@ -114,6 +115,56 @@ fn warm_store_run_is_bit_identical_to_cold() {
             "warm run must be bit-identical to cold (threads {threads})"
         );
     }
+}
+
+/// Runs `Session::atpg_streaming`, checks that the sink saw every fault
+/// index exactly once in ascending order with the run's own verdicts, and
+/// returns the run.
+fn streamed(session: &Session<'_>, options: &AtpgOptions, faults: &[sla_sim::Fault]) -> AtpgRun {
+    let mut seen: Vec<(usize, FaultStatus)> = Vec::new();
+    let run = session
+        .atpg_streaming(options, faults, |i, status| seen.push((i, status)))
+        .expect("streaming ATPG");
+    let indices: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+    assert_eq!(
+        indices,
+        (0..faults.len()).collect::<Vec<_>>(),
+        "every index exactly once, ascending"
+    );
+    let statuses: Vec<FaultStatus> = seen.iter().map(|&(_, s)| s).collect();
+    assert_eq!(statuses, run.status, "streamed verdicts are the run's");
+    run
+}
+
+/// Streaming emits each verdict once, in fault order, equal to the batch
+/// `Session::atpg` run — at one and two worker threads, and under a work
+/// budget whose unsearched `Aborted(Budget)` tail is emitted after the run
+/// is finished.
+#[test]
+fn streaming_emits_every_verdict_once_in_fault_order() {
+    let netlist = table5_circuit(&Table5Config::default());
+    let faults = collapsed_fault_list(&netlist);
+    let mut batches = Vec::new();
+    for threads in [1usize, 2] {
+        let mut session = Session::open(&netlist).with_threads(threads);
+        session.learn(&learn_options()).expect("learning");
+        let batch = canonical(session.atpg(&atpg_options(), &faults).expect("batch ATPG"));
+        let run = canonical(streamed(&session, &atpg_options(), &faults));
+        assert_eq!(run, batch, "threads {threads}");
+
+        let mut budgeted = atpg_options();
+        budgeted.budget = WorkBudget::units(batch.stats.budget_spent / 2);
+        let run = streamed(&session, &budgeted, &faults);
+        assert!(
+            run.status
+                .contains(&FaultStatus::Aborted(AbortReason::Budget)),
+            "half the budget must leave a tail unsearched (threads {threads})"
+        );
+        let budgeted_batch = session.atpg(&budgeted, &faults).expect("budgeted ATPG");
+        assert_eq!(run.status, budgeted_batch.status, "threads {threads}");
+        batches.push(batch);
+    }
+    assert_eq!(batches[0], batches[1], "thread counts agree");
 }
 
 /// A corrupted entry is a typed miss: the session falls back to fresh
