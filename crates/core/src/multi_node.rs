@@ -133,7 +133,7 @@ fn harvest_target<T: TraceRead>(
         if learn_cross_frame {
             for t in 0..target.horizon {
                 for (other, value) in trace.binary_assignments(t) {
-                    if other == node || netlist.node(other).is_input() {
+                    if other == node || netlist.is_input(other) {
                         continue;
                     }
                     outcome.cross_frame.push(CrossImplication {
@@ -388,7 +388,7 @@ struct SpecJob {
 /// conflict are harvested — they only depended on the unchanged prefix
 /// state — the tie is registered, and planning restarts at the next target
 /// under the updated state. The batch width adapts to the tie density:
-/// every restart halves the next batch (down to [`MIN_BATCH`]), every
+/// every restart halves the next batch (down to `MIN_BATCH`, 4 lanes), every
 /// conflict-free batch doubles it again (up to 64). The restarts and the
 /// lanes they discard are reported in the outcome.
 ///

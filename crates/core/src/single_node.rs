@@ -20,12 +20,16 @@ use std::collections::hash_map::Entry;
 /// frame offset.
 ///
 /// An insertion-ordered map rather than a bare `FastHashMap` alias: the
-/// accumulate path stays O(1) per assignment (it runs once per simulated
-/// binary assignment, the hottest spot of the learning lanes), while
-/// iteration walks keys in first-insertion order. That makes iteration a
-/// pure function of the accumulation sequence — the fast-map-iteration
-/// discipline — without paying a `BTreeMap` comparison ladder on every
-/// simulated assignment.
+/// accumulate path stays O(1) per assignment, while iteration walks keys in
+/// first-insertion order. That makes iteration a pure function of the
+/// accumulation sequence — the fast-map-iteration discipline — without
+/// paying a `BTreeMap` comparison ladder on every simulated assignment.
+///
+/// Accumulation runs once per simulated binary assignment. On the Table-3
+/// circuits at one thread, logging the entries and pushing them into this
+/// map takes about as long as the relation pair loop, and each of the two
+/// takes less than the packed simulation itself; tie and repeated-frame
+/// detection are an order of magnitude smaller.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct SupportMap {
     map: FastHashMap<SupportKey, Vec<SupportEntry>>,
@@ -81,19 +85,18 @@ impl SupportMap {
 /// those, primary inputs are free variables); with multiple clock domains the
 /// sequential endpoints must additionally belong to the active class.
 pub fn keep_relation(netlist: &Netlist, class_mask: Option<&[bool]>, a: NodeId, b: NodeId) -> bool {
-    let na = netlist.node(a);
-    let nb = netlist.node(b);
-    if na.is_input() || nb.is_input() {
+    if netlist.is_input(a) || netlist.is_input(b) {
         return false;
     }
-    if !(na.is_sequential() || nb.is_sequential()) {
+    let (seq_a, seq_b) = (netlist.is_sequential(a), netlist.is_sequential(b));
+    if !(seq_a || seq_b) {
         return false;
     }
     if let Some(mask) = class_mask {
-        if na.is_sequential() && !mask[a.index()] {
+        if seq_a && !mask[a.index()] {
             return false;
         }
-        if nb.is_sequential() && !mask[b.index()] {
+        if seq_b && !mask[b.index()] {
             return false;
         }
     }
@@ -186,40 +189,46 @@ pub fn extract_ties<T: TraceRead>(
 ) -> Vec<TiedGate> {
     let frames = trace0.num_frames().min(trace1.num_frames());
     let repeated = repeated_frame_pairs(trace0, trace1, frames);
-    extract_ties_skipping(netlist, stem, trace0, trace1, &repeated)
+    let mut seen = vec![false; netlist.num_nodes()];
+    extract_ties_skipping(netlist, stem, trace0, trace1, &repeated, &mut seen)
 }
 
 /// [`extract_ties`] with a precomputed repeated-frame mask, so one mask can
 /// serve both tie and relation extraction of a stem.
+///
+/// A node tied at several frames is reported once, at its first sighting
+/// (earliest frame): `seen` marks the nodes already reported and is all
+/// `false` again on return. The first sighting is also the strongest one —
+/// frames are walked in ascending order and frame 0 is never marked
+/// repeated, so a combinational (frame-0) tie is always seen first and a
+/// later sequential sighting never needs to upgrade it.
 fn extract_ties_skipping<T: TraceRead>(
     netlist: &Netlist,
     stem: NodeId,
     trace0: &T,
     trace1: &T,
     repeated: &[bool],
+    seen: &mut [bool],
 ) -> Vec<TiedGate> {
     let mut ties: Vec<TiedGate> = Vec::new();
-    let frames = repeated.len();
-    for t in (0..frames).filter(|&t| !repeated[t]) {
+    for t in (0..repeated.len()).filter(|&t| !repeated[t]) {
+        let kind = if t == 0 {
+            TieKind::Combinational
+        } else {
+            TieKind::Sequential
+        };
         for (node, value) in trace0.binary_assignments(t) {
-            if node == stem || netlist.node(node).is_input() {
+            if node == stem || seen[node.index()] || netlist.is_input(node) {
                 continue;
             }
             if trace1.value(t, node) == Logic3::from_bool(value) {
-                let kind = if t == 0 {
-                    TieKind::Combinational
-                } else {
-                    TieKind::Sequential
-                };
-                if let Some(existing) = ties.iter_mut().find(|tg| tg.node == node) {
-                    if kind == TieKind::Combinational {
-                        existing.kind = TieKind::Combinational;
-                    }
-                } else {
-                    ties.push(TiedGate::new(node, value, kind));
-                }
+                seen[node.index()] = true;
+                ties.push(TiedGate::new(node, value, kind));
             }
         }
+    }
+    for tie in &ties {
+        seen[tie.node.index()] = false;
     }
     ties
 }
@@ -355,7 +364,6 @@ impl PairFilter {
 /// at equal frames (contrapositive law), restricted by `keep_relation`.
 pub fn extract_relations<T: TraceRead>(
     netlist: &Netlist,
-    stem: NodeId,
     trace0: &T,
     trace1: &T,
     class_mask: Option<&[bool]>,
@@ -365,15 +373,7 @@ pub fn extract_relations<T: TraceRead>(
     let roles = endpoint_roles(netlist, class_mask);
     let frames = trace0.num_frames().min(trace1.num_frames());
     let repeated = repeated_frame_pairs(trace0, trace1, frames);
-    extract_relations_into(
-        stem,
-        trace0,
-        trace1,
-        &repeated,
-        &roles,
-        &mut filter,
-        &mut out,
-    );
+    extract_relations_into(trace0, trace1, &repeated, &roles, &mut filter, &mut out);
     out
 }
 
@@ -381,7 +381,6 @@ pub fn extract_relations<T: TraceRead>(
 /// filter and endpoint roles span every stem of a learning pass, and the
 /// repeated-frame mask is shared with tie extraction.
 fn extract_relations_into<T: TraceRead>(
-    stem: NodeId,
     trace0: &T,
     trace1: &T,
     repeated: &[bool],
@@ -389,7 +388,6 @@ fn extract_relations_into<T: TraceRead>(
     filter: &mut PairFilter,
     out: &mut Vec<(Implication, bool)>,
 ) {
-    let _ = stem;
     let frames = repeated.len();
     for t in (0..frames).filter(|&t| !repeated[t]) {
         // Keep the pair loop tractable: a relation must involve at least one
@@ -458,7 +456,7 @@ pub fn extract_cross_frame<T: TraceRead>(
     let mut out = Vec::new();
     for t in 1..trace.num_frames() {
         for (node, v) in trace.binary_assignments(t) {
-            if node == stem || netlist.node(node).is_input() {
+            if node == stem || netlist.is_input(node) {
                 continue;
             }
             out.push(CrossImplication {
@@ -471,21 +469,43 @@ pub fn extract_cross_frame<T: TraceRead>(
     out
 }
 
-/// Appends the support assignments of one stem trace to `log`, in the order
-/// the support map accumulates them.
-fn support_log<T: TraceRead>(
-    netlist: &Netlist,
-    stem: NodeId,
-    value: bool,
-    trace: &T,
-    log: &mut Vec<(SupportKey, SupportEntry)>,
-) {
-    for t in 0..trace.num_frames() {
-        for (node, v) in trace.binary_assignments(t) {
-            if node == stem || netlist.node(node).is_input() {
-                continue;
+/// Support assignments in the order the support map accumulates them, held
+/// until the ordered merge. Every stem trace frame contributes one run: the
+/// `(stem, stem_value, frame)` entry is stored once per run, not once per
+/// assignment, which keeps the log a third of the size of flat
+/// `(key, entry)` pairs — the log of a whole pass is resident at the merge.
+#[derive(Default)]
+struct SupportLog {
+    /// Run headers: the entry shared by the run, and the run's key count.
+    runs: Vec<(SupportEntry, usize)>,
+    /// The runs' keys, back to back.
+    keys: Vec<SupportKey>,
+}
+
+impl SupportLog {
+    /// Appends the support assignments of one stem trace.
+    fn record<T: TraceRead>(&mut self, netlist: &Netlist, stem: NodeId, value: bool, trace: &T) {
+        for t in 0..trace.num_frames() {
+            let start = self.keys.len();
+            self.keys.extend(
+                trace
+                    .binary_assignments(t)
+                    .filter(|&(node, _)| node != stem && !netlist.is_input(node)),
+            );
+            let len = self.keys.len() - start;
+            if len > 0 {
+                self.runs.push(((stem, value, t), len));
             }
-            log.push(((node, v), (stem, value, t)));
+        }
+    }
+
+    /// Pushes every logged assignment into `map`, in log order.
+    fn drain_into(self, map: &mut SupportMap) {
+        let mut keys = self.keys.into_iter();
+        for (entry, len) in self.runs {
+            for key in keys.by_ref().take(len) {
+                map.push(key, entry);
+            }
         }
     }
 }
@@ -530,7 +550,7 @@ struct ChunkHarvest {
     ties: Vec<TiedGate>,
     /// Support assignments in accumulation order; the merge pushes them into
     /// the pass's one [`SupportMap`].
-    support: Vec<(SupportKey, SupportEntry)>,
+    support: SupportLog,
     stems: usize,
     /// `true` when the worker's duplicate filter had seen every earlier chunk,
     /// so `implications` already is this chunk's slice of the pass stream.
@@ -543,18 +563,20 @@ impl ChunkHarvest {
             implications: Vec::new(),
             cross_frame: Vec::new(),
             ties: Vec::new(),
-            support: Vec::new(),
+            support: SupportLog::default(),
             stems: 0,
             in_order,
         }
     }
 }
 
-/// A worker's private state: its duplicate filter, the endpoint roles and
-/// how many chunks the filter has seen.
+/// A worker's private state: its duplicate filter, the endpoint roles, the
+/// tie dedupe marks and how many chunks the filter has seen.
 struct ChunkWorker {
     filter: PairFilter,
     roles: Vec<Role>,
+    /// Per-node "already tied by this stem" marks, all `false` between stems.
+    tie_seen: Vec<bool>,
     chunks_seen: usize,
 }
 
@@ -563,6 +585,7 @@ impl ChunkWorker {
         ChunkWorker {
             filter: PairFilter::for_netlist(netlist),
             roles: endpoint_roles(netlist, class_mask),
+            tie_seen: vec![false; netlist.num_nodes()],
             chunks_seen: 0,
         }
     }
@@ -581,10 +604,15 @@ fn harvest_stem<T: TraceRead>(
 ) {
     let frames = t0.num_frames().min(t1.num_frames());
     let repeated = repeated_frame_pairs(t0, t1, frames);
-    out.ties
-        .extend(extract_ties_skipping(netlist, stem, t0, t1, &repeated));
-    extract_relations_into(
+    out.ties.extend(extract_ties_skipping(
+        netlist,
         stem,
+        t0,
+        t1,
+        &repeated,
+        &mut worker.tie_seen,
+    ));
+    extract_relations_into(
         t0,
         t1,
         &repeated,
@@ -598,8 +626,8 @@ fn harvest_stem<T: TraceRead>(
         out.cross_frame
             .extend(extract_cross_frame(netlist, stem, true, t1));
     }
-    support_log(netlist, stem, false, t0, &mut out.support);
-    support_log(netlist, stem, true, t1, &mut out.support);
+    out.support.record(netlist, stem, false, t0);
+    out.support.record(netlist, stem, true, t1);
     out.stems += 1;
 }
 
@@ -684,9 +712,7 @@ fn merge(netlist: &Netlist, harvests: impl IntoIterator<Item = ChunkHarvest>) ->
         }
         merged.cross_frame.extend(harvest.cross_frame);
         merged.ties.extend(harvest.ties);
-        for (key, entry) in harvest.support {
-            merged.support.push(key, entry);
-        }
+        harvest.support.drain_into(&mut merged.support);
         merged.stems_processed += harvest.stems;
     }
     merged
@@ -731,6 +757,73 @@ mod tests {
             .any(|t| t.node == z && !t.value && t.kind == TieKind::Combinational));
     }
 
+    /// A hand-written trace: `frames[t][node]`.
+    struct FixedTrace(Vec<Vec<Logic3>>);
+
+    impl TraceRead for FixedTrace {
+        fn num_frames(&self) -> usize {
+            self.0.len()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0[0].len()
+        }
+        fn value(&self, frame: usize, node: NodeId) -> Logic3 {
+            self.0[frame][node.index()]
+        }
+        fn conflict(&self) -> Option<sla_sim::Conflict> {
+            None
+        }
+        fn frames_equal(&self, a: usize, b: usize) -> bool {
+            self.0[a] == self.0[b]
+        }
+    }
+
+    /// Each node is reported once, at its first sighting: a node tied at
+    /// several frames keeps its earliest kind, and a node tied to different
+    /// values at two frames keeps the earlier value.
+    #[test]
+    fn tie_dedupe_keeps_the_first_sighting() {
+        let n = sample();
+        let i1 = n.require("i1").unwrap();
+        let z = n.require("z").unwrap();
+        let f1 = n.require("f1").unwrap();
+        let f2 = n.require("f2").unwrap();
+        let o = n.require("o").unwrap();
+        let (x, zero, one) = (Logic3::X, Logic3::Zero, Logic3::One);
+        // Frame by frame, both polarities agree on:
+        //   z  = 0 at frames 0, 1, 2  (combinational first)
+        //   f1 = 1 at frames 1, 2     (sequential only)
+        //   o  = 1 at frame 1, 0 at frame 2 (different values)
+        // f2 disagrees between the polarities and is never tied; the stem i1
+        // is excluded.
+        let frame = |vals: &[(NodeId, Logic3)]| {
+            let mut f = vec![x; n.num_nodes()];
+            for &(node, v) in vals {
+                f[node.index()] = v;
+            }
+            f
+        };
+        let t0 = FixedTrace(vec![
+            frame(&[(i1, zero), (z, zero)]),
+            frame(&[(z, zero), (f1, one), (f2, zero), (o, one)]),
+            frame(&[(z, zero), (f1, one), (f2, one), (o, zero)]),
+        ]);
+        let t1 = FixedTrace(vec![
+            frame(&[(i1, one), (z, zero)]),
+            frame(&[(z, zero), (f1, one), (f2, one), (o, one)]),
+            frame(&[(z, zero), (f1, one), (f2, zero), (o, zero)]),
+        ]);
+        let ties = extract_ties(&n, i1, &t0, &t1);
+        assert_eq!(
+            ties,
+            vec![
+                TiedGate::new(z, false, TieKind::Combinational),
+                TiedGate::new(f1, true, TieKind::Sequential),
+                TiedGate::new(o, true, TieKind::Sequential),
+            ]
+        );
+    }
+
     #[test]
     fn invalid_state_relation_found_from_input_stem() {
         let n = sample();
@@ -742,7 +835,7 @@ mod tests {
         // i2=0 -> d1=0 -> f1=0 @1 ; i2=1 -> d2=0 -> f2=0 @1.
         assert_eq!(t0.value(1, f1), Logic3::Zero);
         assert_eq!(t1.value(1, f2), Logic3::Zero);
-        let rels = extract_relations(&n, i2, &t0, &t1, None);
+        let rels = extract_relations(&n, &t0, &t1, None);
         let expected = Implication::new(Literal::new(f1, true), Literal::new(f2, false));
         assert!(
             rels.iter().any(|(imp, seq)| *imp == expected && *seq),
@@ -794,7 +887,7 @@ mod tests {
         // Mask excludes f1: no kept relation may have f1 as an endpoint.
         let mut mask = vec![true; n.num_nodes()];
         mask[f1.index()] = false;
-        let rels = extract_relations(&n, i2, &t0, &t1, Some(&mask));
+        let rels = extract_relations(&n, &t0, &t1, Some(&mask));
         assert!(rels
             .iter()
             .all(|(imp, _)| imp.antecedent.node != f1 && imp.consequent.node != f1));

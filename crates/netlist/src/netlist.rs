@@ -394,7 +394,16 @@ impl Netlist {
         &self.clocks
     }
 
+    /// Returns `true` if `id` is a primary input. Unlike
+    /// [`Netlist::node`], reads only the node's kind, so the per-assignment
+    /// loops of learning can call it cheaply.
+    #[inline]
+    pub fn is_input(&self, id: NodeId) -> bool {
+        self.kinds[id.index()].is_input()
+    }
+
     /// Returns `true` if `id` is a sequential element.
+    #[inline]
     pub fn is_sequential(&self, id: NodeId) -> bool {
         self.kinds[id.index()].is_sequential()
     }

@@ -18,7 +18,9 @@
 
 use crate::equiv::EquivClasses;
 use crate::frame::CombEvaluator;
-use crate::packed::{eval_frame_packed, LaneConflicts, PackedTraces, PackedWord, TraceRead};
+use crate::packed::{
+    eval_frame_packed, DecodedFrame, LaneConflicts, PackedTraces, PackedWord, TraceRead,
+};
 use crate::value::Logic3;
 use crate::Result;
 use sla_netlist::{Netlist, NodeId};
@@ -321,8 +323,10 @@ impl<'a> InjectionSim<'a> {
     /// conflict, state-repeat flag) to `self.run(jobs[i], options)`. The jobs
     /// share every forward pass through the word-parallel kernel of
     /// [`crate::packed`], which is what makes batched learning cheap.
-    /// Per-lane views ([`crate::packed::LaneTrace`]) read the result in
-    /// place with no unpacking; [`PackedTraces::to_trace`] unpacks one lane.
+    /// Each simulated frame is decoded once, during the pass, into per-lane
+    /// lists of binary assignments; per-lane views
+    /// ([`crate::packed::LaneTrace`]) read those lists and the packed words in
+    /// place. [`PackedTraces::to_trace`] unpacks one lane.
     ///
     /// # Panics
     ///
@@ -365,6 +369,7 @@ impl<'a> InjectionSim<'a> {
             return PackedTraces {
                 num_nodes: n,
                 frames: Vec::new(),
+                decoded: Vec::new(),
                 lane_frames: Vec::new(),
                 conflicts: Vec::new(),
                 repeated: 0,
@@ -419,6 +424,7 @@ impl<'a> InjectionSim<'a> {
         let mut repeated = 0u64;
         let mut conflicts = LaneConflicts::new(lanes);
         let mut lane_frames = vec![0usize; lanes];
+        let mut decoded: Vec<DecodedFrame> = Vec::new();
         let mut state = vec![PackedWord::ALL_X; n];
         let mut packed_frames: Vec<Vec<PackedWord>> = Vec::new();
         let mut fanin_buf: Vec<PackedWord> = Vec::new();
@@ -483,6 +489,9 @@ impl<'a> InjectionSim<'a> {
                 &mut fanin_buf,
             );
 
+            // Decode the frame once into the assignment list of every lane
+            // that simulated it (a lane conflicting here keeps this frame).
+            decoded.push(DecodedFrame::new(&values, active, lanes));
             packed_frames.push(values);
             let mut live = active;
             while live != 0 {
@@ -553,6 +562,7 @@ impl<'a> InjectionSim<'a> {
         PackedTraces {
             num_nodes: n,
             frames: packed_frames,
+            decoded,
             lane_frames,
             conflicts: conflicts.take(),
             repeated,

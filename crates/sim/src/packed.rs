@@ -5,7 +5,7 @@
 //! when lane *i* holds logic 0, bit *i* of `one` when it holds logic 1, and a
 //! lane with neither bit set holds `X` (the planes are disjoint by
 //! construction). Gate evaluation reduces to plane-wise applications of the
-//! binary 64-wide primitive [`eval_gate64`](crate::eval::eval_gate64): for an
+//! binary 64-wide primitive [`eval_gate64`]: for an
 //! AND gate the `one` plane is the 64-wide AND of the fanin `one` planes and
 //! the `zero` plane is the 64-wide OR of the fanin `zero` planes, and dually
 //! for OR — exactly the Kleene three-valued truth tables, 64 lanes at a time.
@@ -322,6 +322,11 @@ pub(crate) fn unpack_lane(frame: &[PackedWord], lane: usize) -> Vec<Logic3> {
 /// scalar [`Trace`](crate::Trace) and a lane of [`PackedTraces`]. Learning
 /// extraction is generic over this trait, so the packed batch results are
 /// consumed in place — no per-lane unpacking into `Vec<Logic3>` frames.
+///
+/// The default accessors scan every node of a frame; that is the scalar
+/// trace's reference behaviour. [`LaneTrace`] answers the frame-wide
+/// accessors from its lane's decoded assignment list instead, so their cost
+/// follows the number of binary values, not the netlist size.
 pub trait TraceRead {
     /// Number of simulated frames.
     fn num_frames(&self) -> usize;
@@ -335,18 +340,21 @@ pub trait TraceRead {
     fn frames_equal(&self, a: usize, b: usize) -> bool;
 
     /// Order-sensitive 64-bit fingerprint of one frame's values. Equal frames
-    /// have equal fingerprints; callers use it as an O(nodes) prefilter and
-    /// confirm candidate matches with [`TraceRead::frames_equal`].
+    /// of one trace have equal fingerprints; callers use it as a cheap
+    /// prefilter and confirm candidate matches with
+    /// [`TraceRead::frames_equal`]. Fingerprints are only comparable within
+    /// one trace type.
     fn frame_fingerprint(&self, frame: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h: u64 = FNV_OFFSET;
         for idx in 0..self.num_nodes() {
             let v = self.value(frame, NodeId(idx as u32)) as u64;
-            h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ v).wrapping_mul(FNV_PRIME);
         }
         h
     }
 
-    /// All nodes holding a binary value in `frame`, as `(node, value)` pairs.
+    /// All nodes holding a binary value in `frame`, as `(node, value)` pairs
+    /// in ascending node order.
     fn binary_assignments(&self, frame: usize) -> impl Iterator<Item = (NodeId, bool)> + '_ {
         (0..self.num_nodes()).filter_map(move |idx| {
             let node = NodeId(idx as u32);
@@ -355,13 +363,75 @@ pub trait TraceRead {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One simulated frame decoded into per-lane assignment lists: lane `k`'s
+/// binary assignments are `codes[starts[k]..starts[k + 1]]`, each code the
+/// literal `node * 2 + value`, in ascending node order.
+#[derive(Debug, Clone)]
+pub(crate) struct DecodedFrame {
+    starts: Vec<usize>,
+    codes: Vec<u32>,
+}
+
+impl DecodedFrame {
+    /// Decodes `frame` for the lanes in `live` (the other lanes of the
+    /// batch's `lanes` get empty lists). Two sweeps over the frame's words,
+    /// visiting only the set bits of `known() & live`: one counts each
+    /// lane's assignments, one places them, so the lists take exactly the
+    /// memory they need.
+    pub(crate) fn new(frame: &[PackedWord], live: u64, lanes: usize) -> Self {
+        let mut counts = [0usize; 64];
+        for w in frame {
+            let mut bits = w.known() & live;
+            while bits != 0 {
+                counts[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+        let mut starts = Vec::with_capacity(lanes + 1);
+        starts.push(0);
+        for &count in &counts[..lanes] {
+            starts.push(starts[starts.len() - 1] + count);
+        }
+        let mut cursor = [0usize; 64];
+        cursor[..lanes].copy_from_slice(&starts[..lanes]);
+        let mut codes = vec![0u32; starts[lanes]];
+        for (idx, w) in frame.iter().enumerate() {
+            let mut bits = w.known() & live;
+            if bits == 0 {
+                continue;
+            }
+            let code = u32::try_from(2 * idx).expect("literal codes fit u32 (under 2^31 nodes)");
+            while bits != 0 {
+                let lane = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                codes[cursor[lane]] = code | u32::from(w.one >> lane & 1 == 1);
+                cursor[lane] += 1;
+            }
+        }
+        DecodedFrame { starts, codes }
+    }
+
+    fn lane(&self, lane: usize) -> &[u32] {
+        &self.codes[self.starts[lane]..self.starts[lane + 1]]
+    }
+}
+
 /// The result of a packed batch run: per-frame packed words shared by all
-/// lanes, plus per-lane frame counts, conflicts and repeat flags. Obtain a
-/// per-lane view with [`PackedTraces::lane`].
+/// lanes, the same frames decoded into per-lane assignment lists, plus
+/// per-lane frame counts, conflicts and repeat flags. Obtain a per-lane view
+/// with [`PackedTraces::lane`].
+///
+/// Each frame is decoded once, while the batch simulates, and the lists are
+/// owned here: they live exactly as long as the batch result, so dropping a
+/// processed batch frees them along with its packed frames.
 #[derive(Debug, Clone)]
 pub struct PackedTraces {
     pub(crate) num_nodes: usize,
     pub(crate) frames: Vec<Vec<PackedWord>>,
+    pub(crate) decoded: Vec<DecodedFrame>,
     pub(crate) lane_frames: Vec<usize>,
     pub(crate) conflicts: Vec<Option<Conflict>>,
     pub(crate) repeated: u64,
@@ -379,7 +449,8 @@ impl PackedTraces {
         LaneTrace { batch: self, lane }
     }
 
-    /// Unpacks one lane into an owned scalar [`Trace`](crate::Trace).
+    /// Unpacks one lane from the packed frames into an owned scalar
+    /// [`Trace`](crate::Trace), independently of the decoded lists.
     pub fn to_trace(&self, lane: usize) -> crate::Trace {
         crate::inject::trace_from_parts(
             self.frames[..self.lane_frames[lane]]
@@ -392,17 +463,26 @@ impl PackedTraces {
     }
 }
 
-/// Zero-copy view of one lane of a [`PackedTraces`].
+/// Zero-copy view of one lane of a [`PackedTraces`]. Point lookups
+/// ([`TraceRead::value`]) read the packed words; the frame-wide accessors
+/// (assignments, frame equality, fingerprints) read the lane's decoded,
+/// node-sorted assignment list, so they never touch an `X` node.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneTrace<'a> {
     batch: &'a PackedTraces,
     lane: usize,
 }
 
-impl LaneTrace<'_> {
+impl<'a> LaneTrace<'a> {
     /// `true` when the lane stopped because its sequential state repeated.
     pub fn repeated(&self) -> bool {
         self.batch.repeated >> self.lane & 1 == 1
+    }
+
+    /// The literal codes (`node * 2 + value`) of one frame.
+    fn codes(&self, frame: usize) -> &'a [u32] {
+        debug_assert!(frame < self.num_frames());
+        self.batch.decoded[frame].lane(self.lane)
     }
 }
 
@@ -426,11 +506,19 @@ impl TraceRead for LaneTrace<'_> {
     }
 
     fn frames_equal(&self, a: usize, b: usize) -> bool {
-        let lane_bit = 1u64 << self.lane;
-        self.batch.frames[a]
+        self.codes(a) == self.codes(b)
+    }
+
+    fn frame_fingerprint(&self, frame: usize) -> u64 {
+        self.codes(frame).iter().fold(FNV_OFFSET, |h, &c| {
+            (h ^ u64::from(c)).wrapping_mul(FNV_PRIME)
+        })
+    }
+
+    fn binary_assignments(&self, frame: usize) -> impl Iterator<Item = (NodeId, bool)> + '_ {
+        self.codes(frame)
             .iter()
-            .zip(&self.batch.frames[b])
-            .all(|(wa, wb)| ((wa.zero ^ wb.zero) | (wa.one ^ wb.one)) & lane_bit == 0)
+            .map(|&c| (NodeId(c >> 1), c & 1 == 1))
     }
 }
 

@@ -197,7 +197,7 @@ pub enum Message {
 pub enum ProtoError {
     /// The underlying stream failed (including unexpected EOF mid-frame).
     Io(std::io::Error),
-    /// The frame length prefix exceeds [`MAX_FRAME`].
+    /// The frame length prefix exceeds the frame limit (`MAX_FRAME`, 256 MiB).
     Oversize(u32),
     /// The frame bytes failed to decode.
     Frame(SnapshotError),

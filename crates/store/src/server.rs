@@ -60,6 +60,12 @@ pub fn serve(listener: TcpListener, options: &ServeOptions) -> std::io::Result<(
                 continue;
             }
         };
+        // Every verdict frame is flushed as its own small write. With Nagle's
+        // algorithm on, each such write after the first waits for the
+        // client's delayed ACK, which stalls a request by tens of ms.
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("sla-serve: cannot disable Nagle's algorithm: {e}");
+        }
         match handle_connection(&stream, &mut store, &mut served, options.max_requests) {
             Ok(Flow::Continue) => {}
             Ok(Flow::Stop) => return Ok(()),

@@ -9,7 +9,8 @@ use seqlearn::netlist::stems::fanout_stems;
 use seqlearn::netlist::{Netlist, NodeId};
 use seqlearn::sim::{
     collapsed_fault_list, eval_gate3, eval_gate3x64, find_equivalences, EquivConfig,
-    FaultSimulator, Injection, InjectionSim, Logic3, PackedWord, SimOptions, TestSequence,
+    FaultSimulator, Injection, InjectionSim, Logic3, PackedTraces, PackedWord, SimOptions,
+    TestSequence, TraceRead,
 };
 
 fn small_synth(seed: u64, flip_flops: usize, gates: usize) -> Netlist {
@@ -37,8 +38,116 @@ impl Bits {
     }
 }
 
+/// Random injection jobs plus two fixed lanes: `jobs[0]` injects both
+/// values on one node at frame 0 (a conflicting lane), `jobs[1]` injects
+/// nothing (from the all-X state, three-valued simulation is monotone, so
+/// with fewer flip-flops than frames its state must repeat).
+fn lane_accessor_jobs(netlist: &Netlist, bits: &mut Bits, random: usize) -> Vec<Vec<Injection>> {
+    let n = netlist.num_nodes() as u64;
+    let victim = NodeId((bits.next() % n) as u32);
+    let mut jobs = vec![
+        vec![
+            Injection::new(victim, false, 0),
+            Injection::new(victim, true, 0),
+        ],
+        Vec::new(),
+    ];
+    jobs.extend((0..random).map(|_| {
+        (0..1 + bits.next() % 3)
+            .map(|_| {
+                Injection::new(
+                    NodeId((bits.next() % n) as u32),
+                    bits.next().is_multiple_of(2),
+                    (bits.next() % 4) as usize,
+                )
+            })
+            .collect::<Vec<_>>()
+    }));
+    jobs
+}
+
+/// Every frame-wide `LaneTrace` accessor, which reads the lane's decoded
+/// assignment list, equals the same accessor on the lane unpacked from the
+/// packed words.
+fn assert_lane_accessors_match(batch: &PackedTraces) {
+    for lane in 0..batch.lanes() {
+        let view = batch.lane(lane);
+        let unpacked = batch.to_trace(lane);
+        let frames = view.num_frames();
+        prop_assert_eq!(frames, TraceRead::num_frames(&unpacked), "lane {}", lane);
+        prop_assert_eq!(view.conflict(), unpacked.conflict, "lane {}", lane);
+        prop_assert_eq!(view.repeated(), unpacked.repeated, "lane {}", lane);
+        for t in 0..frames {
+            let decoded: Vec<(NodeId, bool)> = view.binary_assignments(t).collect();
+            let reference: Vec<(NodeId, bool)> = unpacked.binary_assignments(t).collect();
+            prop_assert_eq!(decoded, reference, "lane {} frame {}", lane, t);
+            for a in 0..frames {
+                let equal = unpacked.frames_equal(t, a);
+                prop_assert_eq!(view.frames_equal(t, a), equal, "lane {} {}~{}", lane, t, a);
+                if equal {
+                    prop_assert_eq!(view.frame_fingerprint(t), view.frame_fingerprint(a));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Lane accessors agree with the unpacked lane on repeat-stopping runs,
+    /// including a conflicting and a repeat-stopped lane in every batch.
+    #[test]
+    fn lane_accessors_match_unpacked_lanes(
+        seed in 0u64..400,
+        flip_flops in 1usize..6,
+        gates in 6usize..30,
+        random in 0usize..40,
+    ) {
+        let netlist = small_synth(seed, flip_flops, gates);
+        let mut sim = InjectionSim::new(&netlist).unwrap();
+        sim.set_equivalences(find_equivalences(&netlist, &EquivConfig::default()).unwrap());
+        let mut bits = Bits(seed + 29);
+        let jobs = lane_accessor_jobs(&netlist, &mut bits, random);
+        let slices: Vec<&[Injection]> = jobs.iter().map(|j| j.as_slice()).collect();
+        let options = SimOptions {
+            max_frames: 8,
+            stop_on_repeat: true,
+            respect_seq_rules: true,
+        };
+        let batch = sim.run_batch_packed(&slices, &options);
+        prop_assert!(batch.lane(0).conflict().is_some(), "lane 0 must conflict");
+        prop_assert!(batch.lane(1).repeated(), "lane 1 must repeat-stop");
+        assert_lane_accessors_match(&batch);
+    }
+
+    /// The same under per-lane frame limits (including a zero limit), as
+    /// multiple-node learning packs its targets.
+    #[test]
+    fn lane_accessors_match_unpacked_lanes_under_limits(
+        seed in 0u64..400,
+        flip_flops in 1usize..6,
+        gates in 6usize..30,
+        random in 0usize..40,
+    ) {
+        let netlist = small_synth(seed, flip_flops, gates);
+        let sim = InjectionSim::new(&netlist).unwrap();
+        let mut bits = Bits(seed + 31);
+        let jobs = lane_accessor_jobs(&netlist, &mut bits, random);
+        let slices: Vec<&[Injection]> = jobs.iter().map(|j| j.as_slice()).collect();
+        let mut limits: Vec<usize> = (0..jobs.len()).map(|_| (bits.next() % 7) as usize).collect();
+        limits[0] = limits[0].max(1);
+        limits[1] = 0;
+        let options = SimOptions {
+            max_frames: 6,
+            stop_on_repeat: false,
+            respect_seq_rules: true,
+        };
+        let batch = sim.run_batch_with_limits_packed(&slices, &options, &limits);
+        prop_assert!(batch.lane(0).conflict().is_some(), "lane 0 must conflict");
+        prop_assert_eq!(batch.lane(1).num_frames(), 0);
+        assert_lane_accessors_match(&batch);
+    }
 
     /// Lane-wise packed gate evaluation equals the scalar three-valued
     /// evaluation for every gate type over random packed operands.
