@@ -10,7 +10,7 @@
 //! learning target itself cannot take the assumed value, i.e. it is tied.
 
 use crate::relation::{CrossImplication, Implication, Literal};
-use crate::single_node::{keep_relation, SupportMap};
+use crate::single_node::{keep_relation, SupportEntries, SupportEntry, SupportKey, SupportMap};
 use crate::tie::{TieKind, TiedGate};
 use sla_netlist::{Netlist, NodeId};
 use sla_sim::{Injection, InjectionSim, SimOptions, TraceRead};
@@ -51,15 +51,21 @@ struct Target {
 ///
 /// Support entry `(stem, w, t)` means `stem=w @ 0` produces `node=produced`
 /// at frame `t`; the hypothesis `node = !produced @ horizon` therefore forces
-/// `stem = !w @ horizon - t`.
-fn prepare_target(node: NodeId, produced: bool, entries: &[(NodeId, bool, usize)]) -> Target {
-    let horizon = entries.iter().map(|&(_, _, t)| t).max().unwrap_or(0);
+/// `stem = !w @ horizon - t`. The result does not depend on the entry order:
+/// the slots are collected in a sorted map, and a non-contradictory target
+/// assigns every slot one value.
+fn prepare_target(
+    node: NodeId,
+    produced: bool,
+    entries: impl Iterator<Item = SupportEntry> + Clone,
+) -> Target {
+    let horizon = entries.clone().map(|(_, _, t)| t).max().unwrap_or(0);
     // A BTreeMap: `into_iter` below hands the slots to the injection list,
     // and the determinism contract (fast-map-iteration rule) requires every
     // iterated map to carry an input-defined order.
     let mut by_slot: BTreeMap<(NodeId, usize), bool> = BTreeMap::new();
     let mut contradictory = false;
-    for &(stem, w, t) in entries {
+    for (stem, w, t) in entries {
         let frame = horizon - t;
         if by_slot.insert((stem, frame), !w) == Some(w) {
             contradictory = true;
@@ -82,10 +88,11 @@ fn prepare_target(node: NodeId, produced: bool, entries: &[(NodeId, bool, usize)
 
 /// One entry of the sorted target list: the `(node, value)` key and its
 /// support entries.
-type TargetEntry<'a> = (&'a (NodeId, bool), &'a Vec<(NodeId, bool, usize)>);
+type TargetEntry<'a> = (SupportKey, SupportEntries<'a>);
 
 /// Sorted, truncated learning-target order: most-supported first (they yield
-/// the most relations), ties broken by node id and value.
+/// the most relations), ties broken by node id and value. The order is
+/// total, so it does not depend on the support map's iteration order.
 fn sorted_targets(support: &SupportMap, max_targets: usize) -> Vec<TargetEntry<'_>> {
     let mut targets: Vec<_> = support
         .iter()
@@ -183,14 +190,14 @@ pub fn run(
     let netlist = sim.netlist();
     let mut outcome = MultiNodeOutcome::default();
 
-    for (&(node, produced), entries) in sorted_targets(support, max_targets) {
+    for ((node, produced), entries) in sorted_targets(support, max_targets) {
         if netlist.node(node).is_input() {
             continue;
         }
         if sim.tied().iter().any(|&(n, _)| n == node) {
             continue;
         }
-        let target = prepare_target(node, produced, entries);
+        let target = prepare_target(node, produced, entries.iter());
         outcome.targets_processed += 1;
 
         if target.contradictory {
@@ -276,15 +283,15 @@ fn plan_step(
     };
     let prepare = |prepared: &mut [Option<Target>], at: usize| {
         if prepared[at].is_none() {
-            let (&(node, produced), entries) = targets[at];
-            prepared[at] = Some(prepare_target(node, produced, entries));
+            let ((node, produced), entries) = targets[at];
+            prepared[at] = Some(prepare_target(node, produced, entries.iter()));
         }
     };
     loop {
         if i >= targets.len() {
             return None;
         }
-        let &(node, produced) = targets[i].0;
+        let (node, produced) = targets[i].0;
         if netlist.node(node).is_input() || is_tied(node) {
             i += 1;
             continue;
@@ -300,7 +307,7 @@ fn plan_step(
         let mut batch: Vec<(usize, NodeId, bool)> = vec![(i, node, produced)];
         let mut j = i + 1;
         while j < targets.len() && batch.len() < cap {
-            let &(n2, p2) = targets[j].0;
+            let (n2, p2) = targets[j].0;
             if netlist.node(n2).is_input() || is_tied(n2) {
                 j += 1;
                 continue;
@@ -635,14 +642,14 @@ mod tests {
         let i2 = n.require("i2").unwrap();
         let i3 = n.require("i3").unwrap();
         let g9 = n.require("g9").unwrap();
-        let t = prepare_target(g9, true, &[(i2, false, 1), (i3, false, 1)]);
+        let t = prepare_target(g9, true, [(i2, false, 1), (i3, false, 1)].into_iter());
         assert_eq!(t.horizon, 1);
         assert!(!t.contradictory);
         assert!(t.injections.contains(&Injection::new(i2, true, 0)));
         assert!(t.injections.contains(&Injection::new(i3, true, 0)));
         assert!(t.injections.contains(&Injection::new(g9, false, 1)));
         // Contradictory support: the same stem must be both 0 and 1 at frame 0.
-        let t2 = prepare_target(g9, true, &[(i2, false, 1), (i2, true, 1)]);
+        let t2 = prepare_target(g9, true, [(i2, false, 1), (i2, true, 1)].into_iter());
         assert!(t2.contradictory);
     }
 

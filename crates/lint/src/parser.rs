@@ -31,7 +31,7 @@
 //!
 //! What this layer intentionally does **not** see, so rule consumers (and
 //! waiver reviewers) know where the blind spots are: cross-file type
-//! aliases (`SupportMap`), field types of *other* files' structs, match-arm
+//! aliases, field types of *other* files' structs, match-arm
 //! pattern types, and expression types built from binary operators. A cast
 //! whose source type is not provable here is simply not reported — the
 //! overflow-checks CI lane and review cover the remainder. `usize`/`isize`

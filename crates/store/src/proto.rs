@@ -380,13 +380,24 @@ pub fn write_message(out: &mut impl Write, msg: &Message) -> std::io::Result<()>
 }
 
 /// Reads one message, blocking. EOF before a length prefix is a clean end
-/// of conversation (`Ok(None)`); EOF mid-frame is an error.
+/// of conversation (`Ok(None)`); EOF inside the prefix or mid-frame is an
+/// error.
 pub fn read_message(input: &mut impl Read) -> Result<Option<Message>, ProtoError> {
     let mut prefix = [0u8; 4];
-    match input.read_exact(&mut prefix) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(ProtoError::Io(e)),
+    let mut got = 0;
+    while got < prefix.len() {
+        match input.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(ProtoError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "stream ended inside a length prefix",
+                )))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ProtoError::Io(e)),
+        }
     }
     let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME {

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use seqlearn::circuits::{synthesize, SynthConfig};
-use seqlearn::learn::{multi_node, single_node};
+use seqlearn::learn::{multi_node, single_node, Implication, ImplicationDb, Literal};
 use seqlearn::netlist::stems::fanout_stems;
 use seqlearn::netlist::{Netlist, NodeId};
 use seqlearn::sim::{
@@ -90,6 +90,65 @@ fn assert_lane_accessors_match(batch: &PackedTraces) {
             }
         }
     }
+}
+
+/// The database single-node learning must build, from a naive pairing
+/// that shares no code with the learning pass: every stem simulated alone,
+/// every frame paired (repeated frames included), no duplicate filter. Per
+/// frame, every kept assignment of the `s=0` trace is paired with the
+/// sequential assignments of the `s=1` trace, then the sequential
+/// assignments of the `s=0` trace with its gate assignments; every pair
+/// `g1=!v1 -> g2=v2` goes to the database, which drops self-relations and
+/// duplicates itself.
+fn naive_single_node_db(
+    sim: &InjectionSim<'_>,
+    stems: &[NodeId],
+    options: &SimOptions,
+    mask: Option<&[bool]>,
+) -> ImplicationDb {
+    let netlist = sim.netlist();
+    // `Some(true)` for an active sequential element, `Some(false)` for a
+    // gate, `None` for a primary input or a masked-out sequential element.
+    let role = |n: NodeId| {
+        let node = netlist.node(n);
+        if node.is_input() {
+            None
+        } else if node.is_sequential() {
+            mask.is_none_or(|m| m[n.index()]).then_some(true)
+        } else {
+            Some(false)
+        }
+    };
+    let mut db = ImplicationDb::new();
+    for &stem in stems {
+        let t0 = sim.run(&[Injection::new(stem, false, 0)], options);
+        let t1 = sim.run(&[Injection::new(stem, true, 0)], options);
+        for t in 0..t0.num_frames().min(t1.num_frames()) {
+            let sequential = t > 0;
+            let with_role = |trace: &seqlearn::sim::Trace, want: Option<bool>| {
+                trace
+                    .binary_assignments(t)
+                    .filter(|&(n, _)| match want {
+                        None => role(n).is_some(),
+                        Some(seq) => role(n) == Some(seq),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let (kept0, seq0) = (with_role(&t0, None), with_role(&t0, Some(true)));
+            let (seq1, gates1) = (with_role(&t1, Some(true)), with_role(&t1, Some(false)));
+            for (antecedents, consequents) in [(&kept0, &seq1), (&seq0, &gates1)] {
+                for &(g1, v1) in antecedents {
+                    for &(g2, v2) in consequents {
+                        db.add(
+                            Implication::new(Literal::new(g1, !v1), Literal::new(g2, v2)),
+                            sequential,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    db
 }
 
 proptest! {
@@ -295,6 +354,44 @@ proptest! {
             prop_assert_eq!(&scalar.cross_frame, &batched.cross_frame, "t={}", threads);
             prop_assert_eq!(&scalar.support, &batched.support, "t={}", threads);
             prop_assert_eq!(scalar.stems_processed, batched.stems_processed, "t={}", threads);
+        }
+    }
+
+    /// The relation stream of the sharded pass, fed to a database, builds
+    /// exactly the database of the naive pairing at every thread count: the
+    /// same relations in the same insertion order with the same flags, with
+    /// and without a class mask.
+    #[test]
+    fn single_node_relations_match_naive_pairing(
+        seed in 0u64..300,
+        flip_flops in 2usize..7,
+        gates in 8usize..90,
+        mask_out in 0usize..4,
+    ) {
+        let netlist = small_synth(seed, flip_flops, gates);
+        let mut sim = InjectionSim::new(&netlist).unwrap();
+        sim.set_equivalences(find_equivalences(&netlist, &EquivConfig::default()).unwrap());
+        let stems = fanout_stems(&netlist);
+        let options = SimOptions::default();
+        // Optionally mask out one sequential element to exercise class masks.
+        let mask: Option<Vec<bool>> = (mask_out > 0).then(|| {
+            let mut m = vec![true; netlist.num_nodes()];
+            if let Some(s) = netlist.sequential_elements().nth(mask_out - 1) {
+                m[s.index()] = false;
+            }
+            m
+        });
+        let naive: Vec<(Implication, bool)> =
+            naive_single_node_db(&sim, &stems, &options, mask.as_deref()).iter().collect();
+        for threads in [1, 2, 3, 8] {
+            let outcome =
+                single_node::run_sharded(&sim, &stems, &options, mask.as_deref(), false, threads);
+            let mut db = ImplicationDb::new();
+            for (imp, seq) in outcome.implications {
+                db.add(imp, seq);
+            }
+            let learned: Vec<(Implication, bool)> = db.iter().collect();
+            prop_assert_eq!(&naive, &learned, "t={}", threads);
         }
     }
 
